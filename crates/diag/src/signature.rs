@@ -241,15 +241,15 @@ impl SignatureCollector {
                 misr.absorb(lane_word(planes, lane));
             }
         };
-        if self.index.matches(program) {
-            // Activity slicing: only the ops whose address intersects the
-            // chunk's span union run on the device; skipped checked reads
-            // absorb their precomputed fault-free responses — the
-            // signatures are bit-identical to the full pass.
-            let mut active = ActiveSet::new();
-            for (fault, _) in ram.fault_bank().faults() {
-                active.insert_fault(fault);
-            }
+        // Activity slicing when the chunk is sparse enough to gain from it
+        // (the campaign engine's per-chunk rule): only the ops whose
+        // address intersects the chunk's span union run on the device;
+        // skipped checked reads absorb their precomputed fault-free
+        // responses — the signatures are bit-identical to the full pass.
+        let mut active = ActiveSet::new();
+        let chunk = ram.fault_bank().faults().iter().map(|(fault, _)| fault);
+        let sliced = self.index.matches(program) && !active.prefers_full_pass(&self.index, chunk);
+        if sliced {
             active.finalize(&self.index);
             let _ = program.execute_batch_observed_sliced(
                 ram,

@@ -33,6 +33,13 @@
 //! (accumulator ops, multi-port cycles with program-level write-write
 //! conflicts, checked reads whose expectation diverges from the
 //! reference) are *always active* and never skipped.
+//!
+//! Slicing only pays when a chunk skips enough of the program: a sliced
+//! pass costs more per executed op than the full pass (gap splices,
+//! bucket lookups, the active-list build). [`ActiveSet::prefers_full_pass`]
+//! is the one rule every batched engine uses to pick the pass per chunk
+//! (it also fills the set): past [`FULL_PASS_ACTIVE_FRACTION`] of the
+//! program's ops active, the full pass wins.
 
 use crate::fault::FaultKind;
 use crate::prog::{MemOp, SlotOp, TestProgram, ACC_LANES};
@@ -41,11 +48,26 @@ use crate::{Geometry, MAX_PORTS};
 /// Sentinel op index for "no read has been issued on this port yet".
 pub(crate) const NO_READ: u32 = u32::MAX;
 
+/// The auto engine's crossover, as `(numerator, denominator)`: a chunk
+/// whose sliced pass would execute more than this fraction of the
+/// program's ops runs the full pass instead. Measured by timing both
+/// passes on the same chunks (March C- and March U, BOM n ∈ {16, 64,
+/// 128, 256}, 64/256/512 lanes, chunk spans from 5% to 100% of the
+/// cells): the sliced pass stops winning between 0.69 and 0.87 active,
+/// and at 0.8 the wrong choice costs at most about 10% either way.
+pub const FULL_PASS_ACTIVE_FRACTION: (usize, usize) = (4, 5);
+
+/// `true` when `active` of `total` ops is past the crossover.
+fn past_crossover(active: usize, total: usize) -> bool {
+    let (num, den) = FULL_PASS_ACTIVE_FRACTION;
+    active * den > total * num
+}
+
 /// Visits every cell of `fault`'s span: the addresses whose ops a sliced
 /// pass must execute for the fault's behaviour to be bit-identical to the
 /// full pass (victim and aggressor cells, decoder addresses and their
 /// remapped images, the NPSF neighbourhood).
-pub fn fault_cells(fault: &FaultKind, visit: &mut dyn FnMut(usize)) {
+pub fn fault_cells(fault: &FaultKind, mut visit: impl FnMut(usize)) {
     match fault {
         FaultKind::StuckAt { cell, .. }
         | FaultKind::Transition { cell, .. }
@@ -150,6 +172,10 @@ pub struct ActivityIndex {
     pub(crate) read_refs: Vec<(u32, u64)>,
     /// `n_ops + 1` prefix offsets into [`ActivityIndex::read_refs`].
     pub(crate) read_ref_offsets: Vec<u32>,
+    /// The always-active ops plus the ops touching a forced address
+    /// (counted with multiplicity): the part of every chunk's active-op
+    /// count that does not depend on its faults.
+    pub(crate) base_ops: usize,
     /// Per op, per port: the last device read issued on that port
     /// *strictly before* the op, as `(op index, reference value)`
     /// ([`NO_READ`] when none) — the sense-amplifier restore table for
@@ -182,6 +208,7 @@ impl ActivityIndex {
             responses: Vec::new(),
             read_refs: Vec::new(),
             read_ref_offsets: Vec::with_capacity(n_ops + 1),
+            base_ops: 0,
             last_read_before: Vec::with_capacity(n_ops),
             total_ops: 0,
             total_cycles: 0,
@@ -341,7 +368,18 @@ impl ActivityIndex {
         idx.always_active.dedup();
         idx.forced.sort_unstable();
         idx.forced.dedup();
+        idx.base_ops = idx.always_active.len()
+            + idx.forced.iter().map(|&a| idx.ops_by_addr[a as usize].len()).sum::<usize>();
         idx
+    }
+
+    /// `true` when no chunk can prefer a sliced pass: the ops every
+    /// sliced pass executes whatever its faults (accumulator ops and the
+    /// ops on accumulator write targets) are already past the crossover —
+    /// the case of every PRT and π program. Engines check this once per
+    /// campaign and skip the per-chunk assembly entirely.
+    pub fn always_prefers_full_pass(&self) -> bool {
+        past_crossover(self.base_ops, self.n_ops)
     }
 
     /// Geometry the index was built for.
@@ -398,21 +436,63 @@ impl ActiveSet {
         self.ops.clear();
     }
 
-    fn insert_cell(&mut self, cell: usize) {
+    /// Adds `cell` to the union; `true` when it was not in it yet.
+    fn insert_cell(&mut self, cell: usize) -> bool {
         let w = cell / 64;
         if w >= self.bits.len() {
             self.bits.resize(w + 1, 0);
         }
         let b = 1u64 << (cell % 64);
-        if self.bits[w] & b == 0 {
+        let new = self.bits[w] & b == 0;
+        if new {
             self.bits[w] |= b;
             self.dirty.push(cell as u32);
         }
+        new
     }
 
     /// Adds `fault`'s span cells to the union.
     pub fn insert_fault(&mut self, fault: &FaultKind) {
-        fault_cells(fault, &mut |c| self.insert_cell(c));
+        fault_cells(fault, &mut |c| {
+            self.insert_cell(c);
+        });
+    }
+
+    /// The auto engine's per-chunk rule. Refills the set with `chunk`'s
+    /// faults and returns `true` when the chunk runs faster on a full
+    /// pass than on a sliced one, i.e. when its active ops exceed
+    /// [`FULL_PASS_ACTIVE_FRACTION`] of the program's.
+    ///
+    /// The count is the per-cell op lists of the union plus the index's
+    /// fault-independent ops — exact for single-port programs without
+    /// accumulator ops, an upper bound otherwise (an op touching two
+    /// union cells counts twice). Insertion stops as soon as the count
+    /// passes the crossover, so a dense chunk decides after a fraction
+    /// of its faults and leaves the set partial (a full pass does not
+    /// read it); a `false` answer leaves the complete union, ready for
+    /// [`ActiveSet::finalize`]. Verdicts never depend on the answer:
+    /// both passes are bit-identical.
+    pub fn prefers_full_pass<'f>(
+        &mut self,
+        index: &ActivityIndex,
+        chunk: impl IntoIterator<Item = &'f FaultKind>,
+    ) -> bool {
+        self.clear();
+        let mut count = index.base_ops;
+        if past_crossover(count, index.n_ops) {
+            return true;
+        }
+        for fault in chunk {
+            fault_cells(fault, &mut |c| {
+                if self.insert_cell(c) {
+                    count += index.ops_by_addr.get(c).map_or(0, Vec::len);
+                }
+            });
+            if past_crossover(count, index.n_ops) {
+                return true;
+            }
+        }
+        false
     }
 
     /// `true` when `cell` is in the span union (after `finalize`, this
@@ -580,6 +660,89 @@ mod tests {
             let sliced = p.detect_batch_sliced(&mut ram, &idx, &set);
             assert_eq!(sliced, full, "sliced and full verdicts diverged");
         }
+    }
+
+    /// `w0 ⇑(r0, w1) ⇑(r1)` over `n` cells: every cell is touched by the
+    /// same number of ops, so a chunk's active fraction is its union's
+    /// share of the cells.
+    fn march_like(n: usize) -> TestProgram {
+        let mut b = ProgramBuilder::new(Geometry::bom(n));
+        for a in 0..n {
+            b.write(a, 0);
+        }
+        for a in 0..n {
+            b.read_expect(a, 0);
+            b.write(a, 1);
+        }
+        for a in 0..n {
+            b.read_expect(a, 1);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn rule_prefers_full_pass_for_dense_and_sliced_for_sparse_chunks() {
+        let n = 1024;
+        let p = march_like(n);
+        let idx = ActivityIndex::build(&p);
+        assert!(!idx.always_prefers_full_pass());
+        let mut set = ActiveSet::new();
+        // Dense: 512 couplings whose cells cover the whole array. The
+        // rule decides well before the last fault.
+        let dense: Vec<FaultKind> = (0..n / 2)
+            .map(|a| FaultKind::CouplingInversion {
+                agg_cell: a,
+                agg_bit: 0,
+                victim_cell: a + n / 2,
+                victim_bit: 0,
+                trigger: crate::CouplingTrigger::Rise,
+            })
+            .collect();
+        assert!(
+            set.prefers_full_pass(&idx, &dense),
+            "a chunk spanning every cell runs the full pass"
+        );
+        assert!(set.dirty.len() < n, "insertion stops at the crossover");
+        // Sparse: a 512-lane chunk of single-cell faults on eight cells,
+        // left complete for the sliced pass.
+        let sparse: Vec<FaultKind> =
+            (0..512).map(|lane| FaultKind::StuckAt { cell: lane % 8, bit: 0, value: 0 }).collect();
+        assert!(
+            !set.prefers_full_pass(&idx, &sparse),
+            "a single-cell chunk on a large array slices"
+        );
+        assert!((0..8).all(|c| set.contains(c)) && !set.contains(8));
+        set.finalize(&idx);
+        assert!(set.ops().len() * 100 < p.ops().len(), "its sliced pass skips >99% of the ops");
+        // The crossover itself: 80% of the cells is not past it, one
+        // cell more is.
+        let first_cells_dense = |idx: &ActivityIndex, k: usize| {
+            let chunk: Vec<FaultKind> =
+                (0..k).map(|cell| FaultKind::StuckAt { cell, bit: 0, value: 1 }).collect();
+            ActiveSet::new().prefers_full_pass(idx, &chunk)
+        };
+        assert!(!first_cells_dense(&idx, 819) && first_cells_dense(&idx, 820));
+        let small = ActivityIndex::build(&march_like(10));
+        assert!(!first_cells_dense(&small, 8) && first_cells_dense(&small, 9));
+    }
+
+    #[test]
+    fn accumulator_programs_always_prefer_the_full_pass() {
+        // A PRT-like sweep: every cell is read into the accumulator and
+        // written back from it, so every op is active in every chunk.
+        let geom = Geometry::bom(64);
+        let mut b = ProgramBuilder::new(geom);
+        let map = b.add_map(vec![1]);
+        b.acc_set(0);
+        for a in 0..geom.cells() {
+            b.read_acc(a, map);
+            b.write_acc(a);
+        }
+        let idx = ActivityIndex::build(&b.build());
+        assert!(idx.always_prefers_full_pass());
+        let mut set = ActiveSet::new();
+        assert!(set.prefers_full_pass(&idx, &[]), "even an empty chunk");
+        assert!(set.prefers_full_pass(&idx, &[FaultKind::StuckAt { cell: 3, bit: 0, value: 0 }]));
     }
 
     #[test]

@@ -147,15 +147,11 @@ impl FaultUniverse {
         }
         // Physical a-major pair walk: the radius restricts *physical*
         // distance, then each side maps to its logical address.
-        let pairs: Vec<(usize, usize)> = (0..n)
-            .flat_map(|a| (0..n).map(move |v| (a, v)))
-            .filter(|&(a, v)| a != v)
-            .filter(|&(a, v)| match spec.coupling_radius {
-                Some(r) => a.abs_diff(v) <= r,
-                None => true,
-            })
-            .map(|(a, v)| (log(a), log(v)))
-            .collect();
+        let pairs: Vec<(usize, usize)> = if spec.cfin || spec.cfid || spec.cfst {
+            coupling_pairs(n, spec.coupling_radius).map(|(a, v)| (log(a), log(v))).collect()
+        } else {
+            Vec::new()
+        };
         if spec.cfin {
             for &(a, v) in &pairs {
                 for (ab, vb) in bit_pairs(m) {
@@ -799,6 +795,20 @@ impl LazyUniverse {
     }
 }
 
+/// The physical ordered `(aggressor, victim)` cell pairs of the coupling
+/// families on `n` cells, aggressor-major and victim-ascending: every
+/// `v != a` within `radius` of `a` (every `v != a` when `None`). The walk
+/// visits only the band `a - r ..= a + r`, so a radius-limited universe
+/// costs O(n·r), not O(n²); [`LazyUniverse`] indexes the same order.
+fn coupling_pairs(n: usize, radius: Option<usize>) -> impl Iterator<Item = (usize, usize)> {
+    let r = radius.unwrap_or(n);
+    (0..n).flat_map(move |a| {
+        (a.saturating_sub(r)..=a.saturating_add(r).min(n - 1))
+            .filter(move |&v| v != a)
+            .map(move |v| (a, v))
+    })
+}
+
 fn bit_pairs(m: u32) -> Vec<(u32, u32)> {
     // For BOM this is just (0,0); for WOM include same-bit cross-cell pairs
     // plus a diagonal neighbour to exercise intra-bit-position couplings
@@ -850,6 +860,52 @@ mod tests {
         let u = FaultUniverse::enumerate(g, &spec);
         // adjacent ordered pairs: 2·15 = 30, × 2 triggers = 60
         assert_eq!(u.len(), 60);
+    }
+
+    #[test]
+    fn banded_pair_walk_equals_filtered_walk() {
+        for n in 1..=17usize {
+            let scrambles = [Topology::identity(n), Topology::generate(n, 0x5eed + n as u64)];
+            for radius in [None, Some(0), Some(1), Some(3), Some(n)] {
+                // The quadratic walk the banded one replaces.
+                let filtered: Vec<(usize, usize)> = (0..n)
+                    .flat_map(|a| (0..n).map(move |v| (a, v)))
+                    .filter(|&(a, v)| a != v && radius.is_none_or(|r| a.abs_diff(v) <= r))
+                    .collect();
+                assert_eq!(
+                    coupling_pairs(n, radius).collect::<Vec<_>>(),
+                    filtered,
+                    "n={n} r={radius:?}"
+                );
+                let spec =
+                    UniverseSpec { cfin: true, coupling_radius: radius, ..Default::default() };
+                for topo in &scrambles {
+                    let u = FaultUniverse::enumerate_with(Geometry::bom(n), &spec, topo.clone());
+                    let want: Vec<FaultKind> = filtered
+                        .iter()
+                        .flat_map(|&(a, v)| {
+                            [CouplingTrigger::Rise, CouplingTrigger::Fall].map(|trigger| {
+                                FaultKind::CouplingInversion {
+                                    agg_cell: topo.to_logical(a),
+                                    agg_bit: 0,
+                                    victim_cell: topo.to_logical(v),
+                                    victim_bit: 0,
+                                    trigger,
+                                }
+                            })
+                        })
+                        .collect();
+                    assert_eq!(u.faults(), &want[..], "n={n} r={radius:?} topology={topo:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn coupling_pairs_are_skipped_without_coupling_families() {
+        // A coupling radius alone enumerates nothing.
+        let spec = UniverseSpec { coupling_radius: Some(2), ..Default::default() };
+        assert!(FaultUniverse::enumerate(Geometry::bom(64), &spec).faults().is_empty());
     }
 
     #[test]

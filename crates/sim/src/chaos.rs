@@ -52,9 +52,10 @@ impl ChaosPlan {
         self
     }
 
-    /// Panic inside the lane-batch at schedule position `i` (the batch's
-    /// first fault index when assembly is unsorted; locality-sorted
-    /// assembly keeps the same width-based positions) — exercises the
+    /// Panic inside the lane batch whose first fault index is `i` — on
+    /// a universe-order walk (the full pass, and the first walk of the
+    /// default engine, which visits every batch) that is the batch's
+    /// schedule position, a multiple of the lane width. Exercises the
     /// batch→scalar degradation path. Fires once.
     pub fn panic_on_batch(self, i: usize) -> ChaosPlan {
         self.panic_batches.lock().expect("chaos plan lock").push(i);
@@ -93,8 +94,8 @@ impl ChaosPlan {
         }
     }
 
-    /// Chaos checkpoint at the start of the lane batch at schedule
-    /// position `first`.
+    /// Chaos checkpoint at the start of the lane batch whose first fault
+    /// index is `first`.
     pub(crate) fn batch_event(&self, first: usize) {
         self.bump_events();
         let mut batches = self.panic_batches.lock().expect("chaos plan lock");

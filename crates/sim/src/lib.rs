@@ -147,6 +147,11 @@ const MAX_CHUNK: usize = 64;
 /// (property-tested in `tests/batch.rs` and `tests/resilience.rs`), so
 /// the width — like the thread count — is a pure throughput knob and is
 /// deliberately excluded from the checkpoint fingerprint.
+///
+/// The configured width is an upper bound. The default automatic engine
+/// runs its full-pass chunks at exactly this width and may narrow the
+/// chunks it slices (see [`Campaign::with_slicing`]); a forced sliced
+/// campaign narrows the same way, a forced full pass never does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LaneWidth {
     /// One `u64` of lanes: 64 trials per pass (the PR-4 baseline).
@@ -853,7 +858,9 @@ pub struct Campaign<'a, R> {
     parallelism: Parallelism,
     lane_batching: bool,
     lane_width: LaneWidth,
-    slicing: bool,
+    /// `None`: the auto engine picks full or sliced pass per chunk;
+    /// `Some(_)` forces one ([`Campaign::with_slicing`]).
+    slicing: Option<bool>,
     topology: Option<Topology>,
     name: String,
     deadline: Option<Duration>,
@@ -932,6 +939,19 @@ struct DriveCtx<'t> {
     degraded: &'t AtomicUsize,
 }
 
+/// How the batched driver picks each lane batch's interpreter pass; the
+/// sliced variants carry one activity index per background program.
+#[derive(Clone, Copy)]
+enum Pass<'p> {
+    /// The full pass for every batch (`with_slicing(false)`, or no batch
+    /// could prefer slicing).
+    Full,
+    /// The sliced pass for every batch (`with_slicing(true)`).
+    Sliced(&'p [Arc<ActivityIndex>]),
+    /// Per batch, by [`ActiveSet::prefers_full_pass`] (the default).
+    Auto(&'p [Arc<ActivityIndex>]),
+}
+
 impl<'a, R: FaultRunner> Campaign<'a, R> {
     /// A campaign over every instance of an enumerated universe.
     pub fn new(universe: &'a FaultUniverse, runner: R) -> Campaign<'a, R> {
@@ -951,7 +971,7 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
             parallelism: Parallelism::Auto,
             lane_batching: true,
             lane_width: LaneWidth::default(),
-            slicing: true,
+            slicing: None,
             topology: None,
             name: "campaign".to_string(),
             deadline: None,
@@ -1003,27 +1023,37 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     }
 
     /// Selects the lane-chunk width for the batched path (default
-    /// [`LaneWidth::X512`]). A pure throughput knob: the verdict table,
-    /// reports and checkpoints are bit-identical at every width, so
-    /// checkpoints taken at one width resume correctly at another.
+    /// [`LaneWidth::X512`]): the width of every full-pass chunk, and the
+    /// widest a sliced chunk may use. A pure throughput knob: the verdict
+    /// table, reports and checkpoints are bit-identical at every width,
+    /// so checkpoints taken at one width resume correctly at another.
     pub fn with_lane_width(mut self, width: LaneWidth) -> Campaign<'a, R> {
         self.lane_width = width;
         self
     }
 
-    /// Enables or disables activity-driven program slicing on the batched
-    /// path (default enabled). With slicing on, each lane batch walks only
-    /// the program ops whose address intersects the batch's span union —
-    /// the cells its faults can actually perturb — and splices precomputed
-    /// fault-free reference deltas over the gaps
-    /// ([`prt_ram::ActivityIndex`]). The campaign additionally assembles
-    /// batches by fault locality ([`prt_ram::fault_locality_key`]) so the
-    /// faults sharing a chunk have tight span unions. Verdicts, reports
-    /// and checkpoints are **bit-identical** either way (slicing, like the
-    /// lane width, is deliberately not fingerprinted); disable to pin the
-    /// full-pass oracle for measurement or differential testing.
+    /// Forces the batched path's interpreter pass: `true` forces
+    /// activity-driven slicing on every lane batch, `false` forces the
+    /// full pass. Without this call the engine is automatic and picks
+    /// per batch by [`ActiveSet::prefers_full_pass`]: a batch whose
+    /// sliced pass would still run more than
+    /// [`prt_ram::FULL_PASS_ACTIVE_FRACTION`] of the program's ops (dense
+    /// universes on small arrays, and every accumulator-driven PRT or π
+    /// program) runs the full pass, a sparse one slices.
+    ///
+    /// A sliced pass walks only the program ops whose address intersects
+    /// the batch's span union — the cells its faults can actually
+    /// perturb — and splices precomputed fault-free reference deltas over
+    /// the gaps ([`prt_ram::ActivityIndex`]). Forced slicing also
+    /// assembles batches by fault locality
+    /// ([`prt_ram::fault_locality_key`]); the automatic engine keeps
+    /// universe order, whose family-by-family batches exit earlier.
+    /// Verdicts, reports and checkpoints are **bit-identical** in every
+    /// mode (the engine, like the lane width, is deliberately not
+    /// fingerprinted); the forced modes are the oracles for measurement
+    /// and differential testing.
     pub fn with_slicing(mut self, enabled: bool) -> Campaign<'a, R> {
-        self.slicing = enabled;
+        self.slicing = Some(enabled);
         self
     }
 
@@ -1252,23 +1282,22 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         }
         let plan = self.batch_plan();
         // Activity indexes (one per background program) for the sliced
-        // batch path: resolved once per campaign, before the segment loop
-        // (the programs cache the compiled index, so repeat campaigns
-        // over the same program share one build).
-        let slice_plan: Option<Vec<Arc<ActivityIndex>>> = match (&plan, self.slicing) {
-            (Some(programs), true) => Some(programs.iter().map(|p| p.activity_index()).collect()),
-            _ => None,
+        // pass: resolved once per campaign, before the segment loop (the
+        // programs cache the compiled index, so repeat campaigns over the
+        // same program share one build).
+        let indexes: Vec<Arc<ActivityIndex>> = match (&plan, self.slicing) {
+            (Some(programs), None | Some(true)) => {
+                programs.iter().map(|p| p.activity_index()).collect()
+            }
+            _ => Vec::new(),
         };
-        // Locality-aware chunk assembly, width half: under slicing the
-        // per-chunk active-op count grows with the chunk's span union, so
-        // when spans barely overlap a wide chunk multiplies per-op plane
-        // work for no dispatch amortisation. Pick the cheapest effective
-        // width from the span-overlap cost model (never wider than the
-        // configured knob — verdicts and checkpoints are width-invariant
-        // by design, so this is pure scheduling).
-        let drive_width = match &slice_plan {
-            Some(_) => self.sliced_drive_width(),
-            None => self.lane_width,
+        let pass = match self.slicing {
+            _ if indexes.is_empty() => Pass::Full,
+            Some(true) => Pass::Sliced(&indexes),
+            // No batch of an accumulator-driven program can prefer the
+            // sliced pass: skip the per-batch rule altogether.
+            _ if indexes.iter().all(|ix| ix.always_prefers_full_pass()) => Pass::Full,
+            _ => Pass::Auto(&indexes),
         };
         let degraded = AtomicUsize::new(0);
         let control = RunControl::new(self.deadline, self.cancel.clone());
@@ -1287,23 +1316,10 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
             let seg_end = cursor.saturating_add(step).min(total);
             let ctx =
                 DriveCtx { table: &table, done: &done, control: &control, degraded: &degraded };
-            let outcome =
-                match &plan {
-                    // The chunk width is a const generic: monomorphise the
-                    // batched driver per width and dispatch on the knob.
-                    Some(programs) => {
-                        let slice = slice_plan.as_deref();
-                        match drive_width {
-                            LaneWidth::X64 => self
-                                .drive_segment_batched::<1>(cursor, seg_end, programs, slice, &ctx),
-                            LaneWidth::X256 => self
-                                .drive_segment_batched::<4>(cursor, seg_end, programs, slice, &ctx),
-                            LaneWidth::X512 => self
-                                .drive_segment_batched::<8>(cursor, seg_end, programs, slice, &ctx),
-                        }
-                    }
-                    None => self.drive_scalar_prefix(cursor, seg_end, &ctx),
-                };
+            let outcome = match &plan {
+                Some(programs) => self.drive_segment_batched(cursor, seg_end, programs, pass, &ctx),
+                None => self.drive_scalar_prefix(cursor, seg_end, &ctx),
+            };
             while cursor < seg_end && done[cursor].load(Ordering::Relaxed) {
                 cursor += 1;
             }
@@ -1385,27 +1401,40 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         fp.finish()
     }
 
-    /// The effective lane-chunk width for **sliced** batched segments:
-    /// the cheapest of the widths not exceeding the configured knob,
-    /// under the span-overlap cost model. A sliced chunk executes one op
-    /// per distinct span cell visit, so its work is roughly
-    /// `distinct-keys-in-chunk × (F + W·K)` with `F` the per-op fixed
-    /// cost (dispatch, gap splice, bucket lookups) and `W·K` the
-    /// K-chunk-word plane loops; `F/W ≈ 11` measured on the batch
-    /// interpreter. Dense universes (every lane sharing every cell)
-    /// favour the widest chunks exactly as the full pass does; sparse
-    /// ones (single-cell faults on a large array) favour narrow chunks,
-    /// whose span unions — and active-op counts — shrink with the lane
-    /// count. Width never affects verdicts, reports or checkpoints (the
-    /// fingerprint deliberately excludes it), so this is pure
-    /// scheduling.
-    fn sliced_drive_width(&self) -> LaneWidth {
-        let mut keys: Vec<usize> = self.faults.iter().map(fault_locality_key).collect();
-        if !keys.is_sorted() {
-            // The driver sorts each segment into locality order before
-            // assembling chunks; model the post-assembly adjacency.
-            keys.sort_unstable();
+    /// Sorts `trials` (universe indices) into `(locality key, index)`
+    /// order ([`prt_ram::fault_locality_key`]) for the forced sliced pass,
+    /// so the faults sharing a lane batch have tight span unions
+    /// (coupling faults group by their aggressor/victim window, and a
+    /// scrambled universe regroups by logical cell). Verdicts stay keyed
+    /// by fault index, so the permutation never reaches reports or
+    /// checkpoints.
+    fn locality_order(&self, trials: Vec<u32>) -> Vec<u32> {
+        let mut keyed: Vec<(usize, u32)> =
+            trials.into_iter().map(|i| (fault_locality_key(&self.faults[i as usize]), i)).collect();
+        // One key computation per fault, then a primitive-tuple sort
+        // (re-deriving the key inside a comparator dominates the sort).
+        if !keyed.is_sorted() {
+            keyed.sort_unstable();
         }
+        keyed.into_iter().map(|(_, i)| i).collect()
+    }
+
+    /// The lane width to slice `trials` (in schedule order) at: the
+    /// cheapest of the widths not exceeding the configured knob, under
+    /// the span-overlap cost model. A sliced batch executes one op per
+    /// distinct span cell visit, so its work is roughly
+    /// `distinct-keys-in-batch × (F + W·K)` with `F` the per-op fixed cost
+    /// (dispatch, gap splice, bucket lookups) and `W·K` the K-chunk-word
+    /// plane loops; `F/W ≈ 11` measured on the batch interpreter. Dense
+    /// key runs favour the widest chunks exactly as the full pass does;
+    /// sparse ones (single-cell faults on a large array) favour narrow
+    /// chunks, whose span unions — and active-op counts — shrink with the
+    /// lane count. Width never affects verdicts, reports or checkpoints
+    /// (the fingerprint deliberately excludes it): this is pure
+    /// scheduling.
+    fn sliced_width(&self, trials: &[u32]) -> LaneWidth {
+        let keys: Vec<usize> =
+            trials.iter().map(|&i| fault_locality_key(&self.faults[i as usize])).collect();
         let mut best = LaneWidth::X64;
         let mut best_cost = u64::MAX;
         for width in [LaneWidth::X512, LaneWidth::X256, LaneWidth::X64] {
@@ -1521,74 +1550,135 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         SegmentOutcome::Done
     }
 
-    /// Lane-batched fan-out over the segment `[start, end)`: faults are
-    /// packed `LaneRam::<K>::LANES` per [`LaneRam`] chunk (one
-    /// interpreter pass per batch per background, with the
-    /// cross-background early exit per lane). Every fault family
-    /// lane-batches, so the segment splits into batches by plain index
-    /// arithmetic — no partition pass, no scalar remainder. Workers
-    /// claim **whole chunks** from a shared counter, so the thread
-    /// fan-out composes
-    /// with the lane width (threads × lanes trials in flight) while
-    /// verdicts stay keyed by fault index — bit-identical at any thread
-    /// count and any width. A batch whose interpreter pass panics
-    /// **degrades**: its faults retry one-by-one on the scalar oracle
-    /// and the degradation counter is bumped — only a retry that also
-    /// fails poisons the run. With an activity-slice plan, batches are
-    /// assembled in fault-locality order and each interpreter pass walks
-    /// only the ops intersecting the batch's span union
-    /// ([`TestProgram::detect_batch_sliced`]) — still bit-identical.
-    fn drive_segment_batched<const K: usize>(
+    /// Lane-batched evaluation of the segment `[start, end)` under
+    /// `pass`. The full pass takes batches in universe order at the
+    /// configured width. The forced sliced pass first regroups the
+    /// segment by locality ([`Campaign::locality_order`]). The auto engine
+    /// walks the universe-order batches at the configured width and
+    /// applies [`ActiveSet::prefers_full_pass`] to each: a dense batch
+    /// runs the full pass where it stands, a sparse one is set aside. The
+    /// set-aside faults, still in universe order, are then sliced at the
+    /// width the span-overlap model picks ([`Campaign::sliced_width`]),
+    /// each narrower batch re-checked by the same rule.
+    ///
+    /// Auto keeps universe order on purpose: an enumerated universe
+    /// arrives family by family, so a batch's faults tend to be detected
+    /// together and its pass — full or sliced — exits early. Locality
+    /// regrouping mixes families, so nearly every batch holds a late or
+    /// escaping fault and runs to the end: measured on March C- with
+    /// radius-1 couplings, sliced batches in locality order took 2.6×
+    /// (BOM n=1024) to 2.9× (n=8192) the time of sliced batches in
+    /// universe order.
+    fn drive_segment_batched(
         &self,
         start: usize,
         end: usize,
         programs: &[&TestProgram],
-        slice: Option<&[Arc<ActivityIndex>]>,
+        pass: Pass<'_>,
         ctx: &DriveCtx<'_>,
     ) -> SegmentOutcome {
-        let lanes_per = LaneRam::<K>::LANES;
-        let count = end - start;
-        let n_batches = count.div_ceil(lanes_per);
-        // Locality-aware chunk assembly: with slicing on, the segment is
-        // evaluated in `(locality key, index)` order so the faults sharing
-        // a lane batch have tight span unions (coupling faults group by
-        // their aggressor/victim window). Verdicts stay keyed by fault
-        // index, so the permutation never reaches reports or checkpoints.
-        let order: Vec<u32> = if slice.is_some() {
-            // Enumerated universes arrive in locality order already — one
-            // early-exit scan detects that and skips the permutation
-            // build. Otherwise: one key computation per fault, then a
-            // primitive-tuple sort (re-deriving the key inside the
-            // comparator dominates the sort itself on large segments).
-            let mut prev = 0usize;
-            let sorted = self.faults[start..end].iter().all(|f| {
-                let k = fault_locality_key(f);
-                let ok = k >= prev;
-                prev = k;
-                ok
-            });
-            if sorted {
-                (start as u32..end as u32).collect()
-            } else {
-                let mut keyed: Vec<(usize, u32)> = (start as u32..end as u32)
-                    .map(|i| (fault_locality_key(&self.faults[i as usize]), i))
-                    .collect();
-                keyed.sort_unstable();
-                keyed.into_iter().map(|(_, i)| i).collect()
+        let trials: Vec<u32> = (start as u32..end as u32).collect();
+        let sparse = match pass {
+            Pass::Full => {
+                return self.drive_batches(self.lane_width, &trials, programs, pass, ctx, None)
             }
-        } else {
-            (start as u32..end as u32).collect()
+            Pass::Sliced(_) => self.locality_order(trials),
+            Pass::Auto(_) => {
+                let set_aside = Mutex::new(Vec::new());
+                let outcome = self.drive_batches(
+                    self.lane_width,
+                    &trials,
+                    programs,
+                    pass,
+                    ctx,
+                    Some(&set_aside),
+                );
+                if !matches!(outcome, SegmentOutcome::Done) {
+                    return outcome;
+                }
+                let mut sparse = set_aside.into_inner().expect("set-aside lock");
+                // Workers append in claim order; restore universe order.
+                sparse.sort_unstable();
+                sparse
+            }
         };
+        if sparse.is_empty() {
+            return SegmentOutcome::Done;
+        }
+        let width = self.sliced_width(&sparse);
+        self.drive_batches(width, &sparse, programs, pass, ctx, None)
+    }
+
+    /// [`Campaign::drive_batches_at`] with the lane width as a value: the
+    /// chunk width is a const generic, so the driver is monomorphised per
+    /// width and dispatched here.
+    fn drive_batches(
+        &self,
+        width: LaneWidth,
+        trials: &[u32],
+        programs: &[&TestProgram],
+        pass: Pass<'_>,
+        ctx: &DriveCtx<'_>,
+        set_aside: Option<&Mutex<Vec<u32>>>,
+    ) -> SegmentOutcome {
+        match width {
+            LaneWidth::X64 => self.drive_batches_at::<1>(trials, programs, pass, ctx, set_aside),
+            LaneWidth::X256 => self.drive_batches_at::<4>(trials, programs, pass, ctx, set_aside),
+            LaneWidth::X512 => self.drive_batches_at::<8>(trials, programs, pass, ctx, set_aside),
+        }
+    }
+
+    /// Lane-batched fan-out over `trials` (universe indices, in schedule
+    /// order): consecutive runs of `LaneRam::<K>::LANES` trials share a
+    /// [`LaneRam`] chunk (one interpreter pass per batch per background,
+    /// with the cross-background early exit per lane). Every fault family
+    /// lane-batches, so there is no scalar remainder. Workers claim
+    /// **whole chunks** from a shared counter, so the thread fan-out
+    /// composes with the lane width (threads × lanes trials in flight)
+    /// while verdicts stay keyed by fault index — bit-identical at any
+    /// thread count, width and schedule order. A batch whose interpreter
+    /// pass panics **degrades**: its faults retry one-by-one on the
+    /// scalar oracle and the degradation counter is bumped — only a retry
+    /// that also fails poisons the run.
+    ///
+    /// Under [`Pass::Auto`] one decision per batch, on its first
+    /// background's program, picks the pass for every background (a
+    /// bank's background programs share one address schedule). With
+    /// `set_aside`, a batch that prefers slicing is not run but appended
+    /// there, for [`Campaign::drive_segment_batched`] to slice at a
+    /// narrower width.
+    fn drive_batches_at<const K: usize>(
+        &self,
+        trials: &[u32],
+        programs: &[&TestProgram],
+        pass: Pass<'_>,
+        ctx: &DriveCtx<'_>,
+        set_aside: Option<&Mutex<Vec<u32>>>,
+    ) -> SegmentOutcome {
+        let lanes_per = LaneRam::<K>::LANES;
+        let count = trials.len();
+        let n_batches = count.div_ceil(lanes_per);
         let panicked = AtomicBool::new(false);
         let panic_slot: PanicSlot = Mutex::new(None);
         let stop_slot: Mutex<Option<StopCause>> = Mutex::new(None);
         let run_batch = |b: usize, ram: &mut LaneRam<K>, active: &mut ActiveSet| {
-            let batch = &order[b * lanes_per..((b + 1) * lanes_per).min(count)];
+            let batch = &trials[b * lanes_per..((b + 1) * lanes_per).min(count)];
             let attempt = catch_unwind(AssertUnwindSafe(|| {
-                // Chaos keys batches by schedule position (identical to
-                // the first fault index when assembly is unsorted), so
-                // kill targets stay width-based under locality sorting.
-                self.chaos_batch(start + b * lanes_per);
+                self.chaos_batch(batch[0] as usize);
+                let faults = batch.iter().map(|&fi| &self.faults[fi as usize]);
+                let full_pass = match pass {
+                    Pass::Full => true,
+                    Pass::Sliced(_) => {
+                        active.clear();
+                        faults.for_each(|f| active.insert_fault(f));
+                        false
+                    }
+                    Pass::Auto(indexes) => active.prefers_full_pass(&indexes[0], faults),
+                };
+                if let (false, Some(set_aside)) = (full_pass, set_aside) {
+                    set_aside.lock().expect("set-aside lock").extend_from_slice(batch);
+                    return None;
+                }
                 ram.eject_faults();
                 ram.reset_to(0);
                 for (lane, &fi) in batch.iter().enumerate() {
@@ -1606,27 +1696,27 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
                         }
                         ram.reset_to(0);
                     }
-                    detected |= match slice {
-                        Some(indexes) => {
-                            active.clear();
-                            for &fi in batch {
-                                active.insert_fault(&self.faults[fi as usize]);
-                            }
+                    detected |= match pass {
+                        Pass::Sliced(indexes) | Pass::Auto(indexes) if !full_pass => {
+                            // The union only grows across backgrounds
+                            // (finalize adds each program's forced
+                            // cells); a superset union stays exact.
                             active.finalize(&indexes[bi]);
                             program.detect_batch_sliced(ram, &indexes[bi], active)
                         }
-                        None => program.detect_batch(ram),
+                        _ => program.detect_batch(ram),
                     };
                 }
-                detected
+                Some(detected)
             }));
             match attempt {
-                Ok(detected) => {
+                Ok(Some(detected)) => {
                     for (lane, &fi) in batch.iter().enumerate() {
                         ctx.table[fi as usize].store(detected.get(lane), Ordering::Relaxed);
                         ctx.done[fi as usize].store(true, Ordering::Relaxed);
                     }
                 }
+                Ok(None) => {}
                 Err(_) => {
                     // Graceful degradation: retry the batch on the scalar
                     // oracle (which produces bit-identical verdicts).

@@ -144,8 +144,12 @@ impl ClassTally {
 
     /// Records one fault instance of `class`.
     pub fn record(&mut self, class: &'static str, detected: bool) {
-        let row = match self.rows.iter_mut().find(|r| r.class == class) {
-            Some(r) => r,
+        // Universes arrive family by family, so the newest row is the
+        // likely match; comparing the pointers first spares the string
+        // compare on the campaign-report hot path.
+        let same = |r: &CoverageRow| std::ptr::eq(r.class, class) || r.class == class;
+        let row = match self.rows.iter().rposition(same) {
+            Some(i) => &mut self.rows[i],
             None => {
                 self.rows.push(CoverageRow { class, detected: 0, total: 0 });
                 self.rows.last_mut().expect("just pushed")

@@ -31,7 +31,7 @@
 //! (chaos-tested in `tests/resilience.rs`).
 
 use std::io::{self, Read};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -107,12 +107,15 @@ impl Server {
     /// calling [`ServerHandle::shutdown`]) stops accepting; sessions
     /// already streaming run to completion.
     ///
+    /// The loop blocks in `accept`, so a connection is handed to its
+    /// session the moment it arrives; shutdown wakes the blocked call
+    /// with a connection of its own.
+    ///
     /// # Errors
     ///
     /// The bind error, verbatim.
     pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let poly = Poly2::from_bits(u128::from(config.poly_bits));
         let dicts = match &config.store_dir {
@@ -129,22 +132,21 @@ impl Server {
         });
         let accept_shared = Arc::clone(&shared);
         let accept = thread::spawn(move || {
-            loop {
-                if accept_shared.shutdown.load(Ordering::Relaxed) {
+            for stream in listener.incoming() {
+                // Checked after every accept: the connection that woke a
+                // shutdown (or any later one) is dropped unserved, and
+                // dropping the listener refuses the rest.
+                if accept_shared.shutdown.load(Ordering::Acquire) {
                     break;
                 }
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        // The listener is non-blocking so the accept loop
-                        // can poll shutdown; sessions must block.
-                        let _ = stream.set_nonblocking(false);
+                match stream {
+                    Ok(stream) => {
                         let _ = stream.set_nodelay(true);
                         let session_shared = Arc::clone(&accept_shared);
                         thread::spawn(move || session(stream, session_shared));
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(10));
-                    }
+                    // Transient accept failures (aborted handshakes, fd
+                    // exhaustion): back off briefly instead of spinning.
                     Err(_) => thread::sleep(Duration::from_millis(10)),
                 }
             }
@@ -192,10 +194,23 @@ impl ServerHandle {
     }
 
     fn stop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-        if let Some(accept) = self.accept.take() {
+        self.shared.shutdown.store(true, Ordering::Release);
+        let Some(accept) = self.accept.take() else { return };
+        // Wake the accept loop blocked in `accept`: it sees the flag on
+        // this connection and exits. An unspecified bind address is
+        // reached through loopback.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        if TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok() {
             let _ = accept.join();
         }
+        // Otherwise the loop exits on its next accepted connection;
+        // joining it here could block forever.
     }
 }
 
@@ -502,4 +517,43 @@ fn handle_lookup(shared: &Shared, spec: &LookupSpec) -> Result<LookupReply, (u16
         builds: shared.dicts.builds() as u64,
         reference: dict.reference(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+
+    #[test]
+    fn idle_shutdown_is_prompt_and_refuses_later_connects() {
+        let handle = Server::spawn(ServerConfig::default()).expect("bind loopback");
+        let addr = handle.addr();
+        let started = Instant::now();
+        handle.shutdown();
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "shutdown of an idle server took {:?}",
+            started.elapsed()
+        );
+        // The listener is gone: a later connect is refused, or — should
+        // the port have been reused meanwhile — never answered by us.
+        if let Ok(mut stream) = TcpStream::connect(addr) {
+            stream.set_read_timeout(Some(Duration::from_secs(1))).expect("timeout");
+            let lookup = Request::Lookup(LookupSpec {
+                family: "march_c-".to_string(),
+                cells: 16,
+                width: 1,
+                spec: prt_ram::UniverseSpec::single_cell(),
+                signature: 0,
+                prefix_bits: 0,
+            });
+            let _ = write_frame(&mut stream, &lookup.encode());
+            let _ = stream.flush();
+            let mut byte = [0u8; 1];
+            assert!(
+                !matches!(stream.read(&mut byte), Ok(n) if n > 0),
+                "a connect after shutdown was served"
+            );
+        }
+    }
 }

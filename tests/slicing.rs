@@ -7,13 +7,16 @@
 //! thread count. The full pass (`with_slicing(false)`) is the oracle —
 //! these are the acceptance tests of the slicing layer, alongside the
 //! locality-sorted chunk-assembly invariance the campaign scheduler
-//! promises for reports and checkpoints.
+//! promises for reports and checkpoints. The default, automatic engine
+//! (full or sliced pass per chunk, [`ActiveSet::prefers_full_pass`]) is
+//! held to both forced modes and the scalar interpreter on a dense, a
+//! sparse and a mixed universe.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
-use prt_sim::checkpoint;
+use prt_sim::{checkpoint, ClassTally};
 use prt_suite::prelude::*;
 
 /// Per-process unique checkpoint paths (proptest cases run many files).
@@ -193,6 +196,7 @@ proptest! {
             .detections();
         let sliced = Campaign::new(&u, &bank)
             .with_backgrounds(&bgs)
+            .with_slicing(true)
             .with_parallelism(Parallelism::Threads(threads))
             .detections();
         prop_assert_eq!(full, sliced, "{} n={}", test.name(), n);
@@ -295,6 +299,7 @@ proptest! {
             .run();
         let sliced = Campaign::new(&u, &program)
             .with_name("assembly")
+            .with_slicing(true)
             .with_lane_width(width)
             .with_parallelism(Parallelism::Threads(threads))
             .run();
@@ -312,6 +317,7 @@ proptest! {
             .run();
         let sliced_shuffled = Campaign::over(geom, &shuffled, &program)
             .with_name("assembly")
+            .with_slicing(true)
             .with_lane_width(width)
             .with_parallelism(Parallelism::Threads(threads))
             .run();
@@ -416,5 +422,242 @@ fn single_thread_fast_path_matches_fanout() {
                 .run();
             assert_eq!(sequential, threaded, "slicing={slicing} lanes={}", width.lanes());
         }
+    }
+}
+
+/// The three engine settings: `None` is the default automatic engine,
+/// `Some(sliced)` forces one pass.
+const ENGINES: [Option<bool>; 3] = [None, Some(false), Some(true)];
+
+fn with_engine<'a, R: FaultRunner>(
+    campaign: Campaign<'a, R>,
+    engine: Option<bool>,
+) -> Campaign<'a, R> {
+    match engine {
+        Some(sliced) => campaign.with_slicing(sliced),
+        None => campaign,
+    }
+}
+
+/// The auto engine's differential universes, the sparse one on
+/// `sparse_cells` cells: `(label, universe, chunks can be dense, chunks
+/// can be sparse)` under March C-.
+fn auto_engine_universes(sparse_cells: usize) -> Vec<(&'static str, FaultUniverse, bool, bool)> {
+    vec![
+        // Every chunk spans (nearly) every cell: always the full pass.
+        (
+            "dense",
+            FaultUniverse::enumerate(Geometry::bom(16), &UniverseSpec::paper_claim()),
+            true,
+            false,
+        ),
+        // Single-cell faults on a large array: always the sliced pass.
+        (
+            "sparse",
+            FaultUniverse::enumerate(Geometry::bom(sparse_cells), &UniverseSpec::single_cell()),
+            false,
+            true,
+        ),
+        // SAF/TF/CFin chunks span the array, radius-2 CFid/CFst chunks
+        // only half of it: one campaign takes both branches.
+        (
+            "mixed",
+            FaultUniverse::enumerate(
+                Geometry::bom(64),
+                &UniverseSpec { coupling_radius: Some(2), ..UniverseSpec::paper_claim() },
+            ),
+            true,
+            true,
+        ),
+    ]
+}
+
+/// `(dense, sparse)` chunk counts of `faults` in universe order under the
+/// auto engine's rule.
+fn rule_decisions(faults: &[FaultKind], program: &TestProgram, lanes: usize) -> (usize, usize) {
+    let index = program.activity_index();
+    let mut active = ActiveSet::new();
+    let dense =
+        faults.chunks(lanes).filter(|chunk| active.prefers_full_pass(&index, *chunk)).count();
+    (dense, faults.len().div_ceil(lanes) - dense)
+}
+
+/// AUTO ≡ FORCED FULL ≡ FORCED SLICED ≡ SCALAR: verdicts and coverage
+/// reports of the default engine equal both forced passes and the scalar
+/// interpreter on a dense, a sparse and a mixed universe, at every lane
+/// width and at one and two threads — and each universe really drives
+/// the rule down the branches it is named for.
+#[test]
+fn auto_engine_equals_forced_engines_and_scalar() {
+    for (label, u, dense, sparse) in auto_engine_universes(1024) {
+        let program = Executor::new()
+            .stop_at_first_mismatch()
+            .compile(&march_library::march_c_minus(), u.geometry());
+        let scalar_verdicts = Campaign::new(&u, &program)
+            .with_lane_batching(false)
+            .with_parallelism(Parallelism::Threads(2))
+            .detections();
+        // The scalar report is the class tally of the scalar verdicts.
+        let mut tally = ClassTally::new();
+        for (fault, &detected) in u.faults().iter().zip(&scalar_verdicts) {
+            tally.record(fault.mnemonic(), detected);
+        }
+        let scalar = tally.into_report(label);
+        for width in [LaneWidth::X64, LaneWidth::X256, LaneWidth::X512] {
+            let (d, s) = rule_decisions(u.faults(), &program, width.lanes());
+            assert_eq!((d > 0, s > 0), (dense, sparse), "{label}: {d} dense / {s} sparse chunks");
+            for threads in [1, 2] {
+                for engine in ENGINES {
+                    let campaign = || {
+                        with_engine(Campaign::new(&u, &program), engine)
+                            .with_name(label)
+                            .with_lane_width(width)
+                            .with_parallelism(Parallelism::Threads(threads))
+                    };
+                    let at = format!("{label}, engine {engine:?}, {width:?}, {threads} threads");
+                    assert_eq!(campaign().detections(), scalar_verdicts, "{at}: verdicts");
+                    assert_eq!(campaign().run(), scalar, "{at}: report");
+                }
+            }
+        }
+    }
+}
+
+/// Accumulator-driven programs skip the per-chunk rule (no chunk can
+/// prefer slicing); the default engine still equals both forced passes.
+#[test]
+fn auto_engine_equals_forced_engines_on_prt_programs() {
+    let u = FaultUniverse::enumerate(Geometry::bom(16), &UniverseSpec::paper_claim());
+    let field = Field::new(1, 0b11).expect("GF(2)");
+    let program =
+        PrtScheme::standard3(field).expect("scheme").compile(u.geometry()).expect("compile");
+    assert!(program.activity_index().always_prefers_full_pass());
+    let reports: Vec<CoverageReport> =
+        ENGINES.iter().map(|&e| with_engine(Campaign::new(&u, &program), e).run()).collect();
+    assert_eq!(reports[0], reports[1]);
+    assert_eq!(reports[0], reports[2]);
+}
+
+/// AUTO DICTIONARY ≡ FORCED DICTIONARIES: the default batched dictionary
+/// build (whose collector picks its pass per chunk by the same rule)
+/// records the same per-fault observation — MISR signature and execution
+/// summary — as the scalar build and as builds forced onto the full and
+/// the sliced observed pass, on the dense, sparse and mixed universes.
+#[test]
+fn dictionary_observations_identical_for_auto_and_forced_builds() {
+    let poly = Poly2::from_bits(0b1_0001_1011);
+    // 1024 single-cell faults on 256 cells: still sparse in 512-lane
+    // chunks, and small enough for the scalar oracle build.
+    for (label, u, _, _) in auto_engine_universes(256) {
+        let program = Executor::new().compile(&march_library::march_diag(), u.geometry());
+        let auto = FaultDictionary::build(&u, &program, poly, Parallelism::Threads(2))
+            .expect("auto build");
+        let scalar = FaultDictionary::build_with_batching(
+            &u,
+            &program,
+            poly,
+            Parallelism::Sequential,
+            false,
+        )
+        .expect("scalar build");
+        assert_eq!(auto.observations(), scalar.observations(), "{label}: auto vs scalar");
+        for sliced in [false, true] {
+            let forced = forced_observations(&program, u.faults(), poly, sliced);
+            assert_eq!(auto.observations(), &forced[..], "{label}: auto vs forced sliced={sliced}");
+        }
+    }
+}
+
+/// Per-fault observations of a 512-lane batched sweep forced onto the
+/// full (`sliced = false`) or the sliced observed pass: one MISR per lane
+/// over that lane's checked-read words, as a dictionary compacts them.
+fn forced_observations(
+    program: &TestProgram,
+    faults: &[FaultKind],
+    poly: Poly2,
+    sliced: bool,
+) -> Vec<Observation> {
+    let index = program.activity_index();
+    prt_sim::map_trials_batched::<8, _, _, _>(
+        program.geometry(),
+        program.ports(),
+        faults,
+        Parallelism::Sequential,
+        |ram, out| {
+            let k = ram.active_lanes().count_ones() as usize;
+            let mut misrs = vec![Misr::new(poly).expect("poly"); k];
+            let mut execs = vec![Execution::default(); LaneRam::<8>::LANES];
+            let mut observer = |planes: &[LaneChunk<8>]| {
+                for (lane, misr) in misrs.iter_mut().enumerate() {
+                    misr.absorb(lane_word(planes, lane));
+                }
+            };
+            if sliced {
+                let mut active = ActiveSet::new();
+                for (fault, _) in ram.fault_bank().faults() {
+                    active.insert_fault(fault);
+                }
+                active.finalize(&index);
+                program.execute_batch_observed_sliced(
+                    ram,
+                    &index,
+                    &active,
+                    &mut execs,
+                    &mut observer,
+                );
+            } else {
+                program.execute_batch_observed(ram, &mut execs, &mut observer);
+            }
+            assert_eq!(
+                ram.errored_lanes(),
+                LaneChunk::ZERO,
+                "single-port programs never freeze lanes"
+            );
+            out.extend(
+                misrs
+                    .iter()
+                    .zip(&execs)
+                    .map(|(m, &exec)| Observation { signature: m.signature(), exec }),
+            );
+        },
+        |_, _| unreachable!("every batch completes"),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// CHECKPOINT INVARIANCE ACROSS ENGINES: a campaign over the mixed
+    /// universe checkpointed under one engine setting (auto, forced full
+    /// or forced sliced) resumes under any other — from any rewound
+    /// prefix, at another thread count — to the uninterrupted report.
+    #[test]
+    fn checkpoint_resumes_across_auto_and_forced_engines(
+        first in 0usize..3,
+        second in 0usize..3,
+        cut_permille in 0usize..1000,
+        every in 50usize..700,
+        threads in 1usize..4,
+    ) {
+        let (_, u, _, _) = auto_engine_universes(1024).swap_remove(2);
+        let program = Executor::new().compile(&march_library::march_c_minus(), u.geometry());
+        let baseline = Campaign::new(&u, &program).with_name("engine-ckpt").run();
+        let path = temp_ckpt("engine");
+        let written = with_engine(Campaign::new(&u, &program), ENGINES[first])
+            .with_name("engine-ckpt")
+            .with_checkpoint(&path, every)
+            .run();
+        prop_assert_eq!(&baseline, &written);
+        let fp = checkpoint::peek_fingerprint(&path).unwrap();
+        let saved: Vec<bool> = checkpoint::load_records(&path, fp, u.len()).unwrap().unwrap();
+        let cut = saved.len() * cut_permille / 1000;
+        checkpoint::save_records(&path, fp, u.len(), &saved[..cut]).unwrap();
+        let resumed = with_engine(Campaign::new(&u, &program), ENGINES[second])
+            .with_name("engine-ckpt")
+            .with_parallelism(Parallelism::Threads(test_threads(threads)))
+            .with_checkpoint(&path, every)
+            .run();
+        prop_assert_eq!(&baseline, &resumed);
+        let _ = std::fs::remove_file(&path);
     }
 }

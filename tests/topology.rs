@@ -85,9 +85,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// SCRAMBLED CAMPAIGNS: sliced == full == scalar verdicts, bit-exact,
-    /// for random March families over scrambled mixed universes on BOM
-    /// and WOM geometries, across lane widths and thread counts.
+    /// SCRAMBLED CAMPAIGNS: sliced == full == auto == scalar verdicts,
+    /// bit-exact, for random March families over scrambled mixed
+    /// universes on BOM and WOM geometries, across lane widths and thread
+    /// counts.
     #[test]
     fn scrambled_sliced_equals_full_equals_scalar(
         test_idx in 0usize..15,
@@ -114,9 +115,15 @@ proptest! {
             .with_parallelism(Parallelism::Threads(threads))
             .detections();
         let sliced = Campaign::new(&u, &program)
+            .with_slicing(true)
             .with_lane_width(width)
             .with_parallelism(Parallelism::Threads(threads))
             .detections();
+        let auto = Campaign::new(&u, &program)
+            .with_lane_width(width)
+            .with_parallelism(Parallelism::Threads(threads))
+            .detections();
+        prop_assert_eq!(&scalar, &auto, "{} seed={} {:?}: auto engine diverged", test.name(), seed, width);
         for (i, s) in scalar.iter().enumerate() {
             prop_assert_eq!(
                 *s, full[i],
