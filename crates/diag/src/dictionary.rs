@@ -31,12 +31,9 @@ use std::sync::Arc;
 
 use crate::{DiagError, Observation, SignatureCollector};
 use prt_gf::Poly2;
-use prt_ram::{FaultKind, FaultUniverse, Geometry, TestProgram, Topology};
+use prt_ram::{FaultKind, FaultUniverse, Geometry, Ram, TestProgram, Topology};
 use prt_sim::checkpoint::{self, FingerprintBuilder};
-use prt_sim::{
-    map_trials, map_trials_batched, try_map_trials, try_map_trials_batched, CampaignError,
-    LaneWidth, Parallelism,
-};
+use prt_sim::{try_map_trials, try_map_trials_batched, CampaignError, Parallelism};
 
 /// Aggregate dictionary statistics.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -218,44 +215,81 @@ fn escape_observation(collector: &SignatureCollector) -> Observation {
     Observation { signature: collector.reference(), exec: Default::default() }
 }
 
-/// One lane-batched measurement sweep at chunk width `K` — the
-/// monomorphised body [`FaultDictionary::build_with_batching`] dispatches
-/// to per [`LaneWidth`].
-fn batched_observations<const K: usize>(
+/// Lane-chunk words of a batched dictionary sweep: 8, the 512 lanes of
+/// the default [`prt_sim::LaneWidth`].
+const LANE_WORDS: usize = 8;
+
+/// Observes every fault of `faults` through `program`: lane-batched when
+/// asked for and the program batches, otherwise one scalar trial per
+/// fault. A scalar trial whose device errors out yields
+/// [`escape_observation`].
+fn observe(
     collector: &SignatureCollector,
     program: &TestProgram,
-    geom: Geometry,
     faults: &[FaultKind],
     parallelism: Parallelism,
-) -> Vec<Observation> {
-    map_trials_batched::<K, _, _, _>(
-        geom,
-        program.ports(),
-        faults,
-        parallelism,
-        |lanes, out| collector.collect_batch(program, lanes, out),
-        |_, ram| collector.collect(program, ram).unwrap_or_else(|_| escape_observation(collector)),
-    )
+    lane_batching: bool,
+) -> Result<Vec<Observation>, CampaignError> {
+    let geom = program.geometry();
+    let scalar = |ram: &mut Ram| {
+        collector.collect(program, ram).unwrap_or_else(|_| escape_observation(collector))
+    };
+    if lane_batching && program.lane_batchable() {
+        try_map_trials_batched::<LANE_WORDS, _, _, _>(
+            geom,
+            program.ports(),
+            faults,
+            parallelism,
+            |lanes, out| collector.collect_batch(program, lanes, out),
+            |_, ram| scalar(ram),
+        )
+        .map(|(values, _degraded)| values)
+    } else {
+        try_map_trials(geom, program.ports(), faults.len(), parallelism, |i, ram| {
+            ram.inject(faults[i].clone()).expect("enumerated faults are valid");
+            scalar(ram)
+        })
+    }
 }
 
-/// The fallible form of [`batched_observations`], for the checkpointed
-/// build.
-fn try_batched_observations<const K: usize>(
-    collector: &SignatureCollector,
+/// The one dictionary sweep behind every build: observes the universe in
+/// segments of `every` faults, each spooled to `path` when a checkpoint
+/// `spool_to = Some((path, every))` is asked for, and resumes from a
+/// compatible spool there. Without one the whole universe is one segment.
+fn sweep(
+    universe: &FaultUniverse,
     program: &TestProgram,
-    geom: Geometry,
-    faults: &[FaultKind],
+    poly: Poly2,
     parallelism: Parallelism,
-) -> Result<Vec<Observation>, CampaignError> {
-    try_map_trials_batched::<K, _, _, _>(
-        geom,
-        program.ports(),
-        faults,
-        parallelism,
-        |lanes, out| collector.collect_batch(program, lanes, out),
-        |_, ram| collector.collect(program, ram).unwrap_or_else(|_| escape_observation(collector)),
-    )
-    .map(|(values, _degraded)| values)
+    lane_batching: bool,
+    spool_to: Option<(&Path, usize)>,
+) -> Result<FaultDictionary, DiagError> {
+    assert_eq!(
+        universe.geometry(),
+        program.geometry(),
+        "dictionary universe and program geometries differ"
+    );
+    let collector = SignatureCollector::new(program, poly)?;
+    let total = universe.len();
+    let spool = spool_to.map(|(path, _)| (path, dictionary_fingerprint(universe, program, poly)));
+    let mut observations: Vec<Observation> = match spool {
+        Some((path, fp)) => checkpoint::load_records(path, fp, total)?.unwrap_or_default(),
+        None => Vec::new(),
+    };
+    let every = spool_to.map_or(total, |(_, every)| every.max(1));
+    while observations.len() < total {
+        let end = (observations.len() + every).min(total);
+        let segment = &universe.faults()[observations.len()..end];
+        let attempt = observe(&collector, program, segment, parallelism, lane_batching)
+            .map(|segment_obs| observations.extend(segment_obs));
+        if let Some((path, fp)) = spool {
+            // The completed prefix survives a failure too: a restart
+            // resumes here.
+            checkpoint::save_records(path, fp, total, &observations)?;
+        }
+        attempt.map_err(surface_campaign_error)?;
+    }
+    Ok(FaultDictionary::assemble(universe, program, collector, observations))
 }
 
 impl FaultDictionary {
@@ -270,7 +304,7 @@ impl FaultDictionary {
     /// interpreter pass simulates a whole lane chunk of trials
     /// ([`prt_sim::map_trials_batched`] +
     /// [`SignatureCollector::collect_batch`] at the default
-    /// [`LaneWidth`]), with per-fault signatures and statistics identical
+    /// [`prt_sim::LaneWidth`]), with per-fault signatures and statistics identical
     /// to the scalar build ([`FaultDictionary::build_with_batching`] pins
     /// the scalar engine for differential tests and benchmarks).
     ///
@@ -307,64 +341,7 @@ impl FaultDictionary {
         parallelism: Parallelism,
         lane_batching: bool,
     ) -> Result<FaultDictionary, DiagError> {
-        assert_eq!(
-            universe.geometry(),
-            program.geometry(),
-            "dictionary universe and program geometries differ"
-        );
-        let collector = SignatureCollector::new(program, poly)?;
-        let geom = universe.geometry();
-        let escape = |collector: &SignatureCollector| Observation {
-            signature: collector.reference(),
-            exec: Default::default(),
-        };
-        let observations: Vec<Observation> = if lane_batching && program.lane_batchable() {
-            match LaneWidth::default() {
-                LaneWidth::X64 => batched_observations::<1>(
-                    &collector,
-                    program,
-                    geom,
-                    universe.faults(),
-                    parallelism,
-                ),
-                LaneWidth::X256 => batched_observations::<4>(
-                    &collector,
-                    program,
-                    geom,
-                    universe.faults(),
-                    parallelism,
-                ),
-                LaneWidth::X512 => batched_observations::<8>(
-                    &collector,
-                    program,
-                    geom,
-                    universe.faults(),
-                    parallelism,
-                ),
-            }
-        } else {
-            map_trials(geom, program.ports(), universe.len(), parallelism, |i, ram| {
-                ram.inject(universe.faults()[i].clone()).expect("enumerated faults are valid");
-                collector.collect(program, ram).unwrap_or(escape(&collector))
-            })
-        };
-        let (buckets, stats) = index_observations(
-            &observations,
-            collector.reference(),
-            collector.aliasing_bound(),
-            |sig| sig,
-        );
-        Ok(FaultDictionary {
-            geom,
-            topology: universe.topology().clone(),
-            program: Arc::new(program.clone()),
-            collector,
-            faults: Arc::new(universe.faults().to_vec()),
-            observations: Arc::new(observations),
-            buckets,
-            stats,
-            prefix_bits: None,
-        })
+        sweep(universe, program, poly, parallelism, lane_batching, None)
     }
 
     /// [`FaultDictionary::build`] with progress checkpointed to `path`
@@ -397,75 +374,24 @@ impl FaultDictionary {
         path: impl AsRef<Path>,
         every: usize,
     ) -> Result<FaultDictionary, DiagError> {
-        assert_eq!(
-            universe.geometry(),
-            program.geometry(),
-            "dictionary universe and program geometries differ"
-        );
-        let collector = SignatureCollector::new(program, poly)?;
-        let geom = universe.geometry();
-        let total = universe.len();
-        let every = every.max(1);
-        let path = path.as_ref();
-        let fingerprint = dictionary_fingerprint(universe, program, poly);
-        let escape = |collector: &SignatureCollector| Observation {
-            signature: collector.reference(),
-            exec: Default::default(),
-        };
-        let mut observations: Vec<Observation> =
-            checkpoint::load_records(path, fingerprint, total)?.unwrap_or_default();
-        while observations.len() < total {
-            let end = (observations.len() + every).min(total);
-            let segment = &universe.faults()[observations.len()..end];
-            let attempt = if program.lane_batchable() {
-                match LaneWidth::default() {
-                    LaneWidth::X64 => try_batched_observations::<1>(
-                        &collector,
-                        program,
-                        geom,
-                        segment,
-                        parallelism,
-                    ),
-                    LaneWidth::X256 => try_batched_observations::<4>(
-                        &collector,
-                        program,
-                        geom,
-                        segment,
-                        parallelism,
-                    ),
-                    LaneWidth::X512 => try_batched_observations::<8>(
-                        &collector,
-                        program,
-                        geom,
-                        segment,
-                        parallelism,
-                    ),
-                }
-            } else {
-                try_map_trials(geom, program.ports(), segment.len(), parallelism, |k, ram| {
-                    ram.inject(segment[k].clone()).expect("enumerated faults are valid");
-                    collector.collect(program, ram).unwrap_or(escape(&collector))
-                })
-            };
-            match attempt {
-                Ok(segment_obs) => observations.extend(segment_obs),
-                Err(e) => {
-                    // The completed prefix survives the failure: save it
-                    // before surfacing, so a restart resumes here.
-                    checkpoint::save_records(path, fingerprint, total, &observations)?;
-                    return Err(surface_campaign_error(e));
-                }
-            }
-            checkpoint::save_records(path, fingerprint, total, &observations)?;
-        }
+        sweep(universe, program, poly, parallelism, true, Some((path.as_ref(), every)))
+    }
+
+    /// A full-signature dictionary over `universe`'s observations.
+    fn assemble(
+        universe: &FaultUniverse,
+        program: &TestProgram,
+        collector: SignatureCollector,
+        observations: Vec<Observation>,
+    ) -> FaultDictionary {
         let (buckets, stats) = index_observations(
             &observations,
             collector.reference(),
             collector.aliasing_bound(),
             |sig| sig,
         );
-        Ok(FaultDictionary {
-            geom,
+        FaultDictionary {
+            geom: universe.geometry(),
             topology: universe.topology().clone(),
             program: Arc::new(program.clone()),
             collector,
@@ -474,7 +400,7 @@ impl FaultDictionary {
             buckets,
             stats,
             prefix_bits: None,
-        })
+        }
     }
 
     /// Fingerprint of everything that determines a dictionary's
@@ -563,23 +489,7 @@ impl FaultDictionary {
         if observations.len() < universe.len() {
             return Ok(None);
         }
-        let (buckets, stats) = index_observations(
-            &observations,
-            collector.reference(),
-            collector.aliasing_bound(),
-            |sig| sig,
-        );
-        Ok(Some(FaultDictionary {
-            geom: universe.geometry(),
-            topology: universe.topology().clone(),
-            program: Arc::new(program.clone()),
-            collector,
-            faults: Arc::new(universe.faults().to_vec()),
-            observations: Arc::new(observations),
-            buckets,
-            stats,
-            prefix_bits: None,
-        }))
+        Ok(Some(FaultDictionary::assemble(universe, program, collector, observations)))
     }
 
     /// Rebuilds this dictionary on **`bits`-bit signature prefixes** (the
@@ -904,6 +814,15 @@ mod tests {
     fn compression_rejects_overwide_prefix() {
         let (_, dict) = build(8);
         let _ = dict.compress(9);
+    }
+
+    #[test]
+    fn batched_sweep_runs_at_the_default_lane_width() {
+        assert_eq!(
+            prt_ram::LaneRam::<LANE_WORDS>::LANES,
+            prt_sim::LaneWidth::default().lanes(),
+            "dictionary sweeps must batch at the campaign default width"
+        );
     }
 
     #[test]

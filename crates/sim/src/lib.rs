@@ -11,11 +11,16 @@
 //!   [`Ram::reset_to`] + [`Ram::eject_faults`], so the steady-state
 //!   campaign performs **zero heap allocation per fault** instead of two
 //!   `Vec` allocations plus fault-bank rebuilds per trial.
-//! * **Parallel fan-out** — fault instances are independent, so workers
-//!   self-schedule over chunks of the instance index space (chunked
-//!   work-stealing on `std::thread::scope`; the environment this workspace
-//!   builds in has no registry access, so the fan-out is built on `std`
-//!   instead of rayon — the scheduling discipline is the same).
+//! * **Parallel fan-out** — fault instances are independent, so every
+//!   driver (trial maps, scalar and lane-batched campaign segments, the
+//!   fail-fast escape scan) runs on one private work-stealing scheduler:
+//!   workers claim units (chunks of trials, or lane batches) in
+//!   increasing order from a shared counter on scoped `std` threads; one
+//!   worker runs the units in order on the calling thread without
+//!   spawning. A unit can stop further claims (the escape scan), a caught
+//!   panic poisons only its own unit, and deadlines and cancellation are
+//!   polled before every claim. It is built on `std` rather than rayon
+//!   because the workspace builds without registry access.
 //! * **Early exit** — a fault detected under one data background skips the
 //!   remaining backgrounds, exactly like the sequential reference.
 //! * **Deterministic aggregation** — workers only fill a per-fault verdict
@@ -78,6 +83,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::ops::{ControlFlow, Range};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -103,29 +109,14 @@ pub use report::{ClassTally, CoverageReport, CoverageRow, PartialCoverage};
 use checkpoint::FingerprintBuilder;
 use control::RunControl;
 
-/// First worker panic of a fan-out: the poisoned chunk plus the payload.
-type PanicSlot = Mutex<Option<((usize, usize), String)>>;
-
-/// Stringifies a caught panic payload and stores the first one.
-fn record_panic(slot: &PanicSlot, chunk: (usize, usize), payload: Box<dyn std::any::Any + Send>) {
-    let message = match payload.downcast::<String>() {
+/// Stringifies a caught panic payload.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
         Ok(s) => *s,
         Err(p) => match p.downcast::<&'static str>() {
             Ok(s) => (*s).to_string(),
             Err(_) => "worker panicked with a non-string payload".to_string(),
         },
-    };
-    let mut slot = slot.lock().expect("panic slot lock");
-    if slot.is_none() {
-        *slot = Some((chunk, message));
-    }
-}
-
-/// Stores the first stop cause a worker observed.
-fn record_stop(slot: &Mutex<Option<StopCause>>, cause: StopCause) {
-    let mut slot = slot.lock().expect("stop slot lock");
-    if slot.is_none() {
-        *slot = Some(cause);
     }
 }
 
@@ -216,6 +207,118 @@ impl Parallelism {
         };
         w.min(trials.max(1))
     }
+}
+
+/// The work-stealing scheduler every driver runs on. `items` is cut into
+/// units of `batch` items (one lane batch each), or, with `None`, into
+/// about eight units per worker of at most [`MAX_CHUNK`] items (scalar
+/// trials). Workers claim units in increasing order from a shared
+/// counter, each keeping one `init()` state (its pooled memory) across
+/// the units it runs; a single worker runs the units in order on the
+/// calling thread and spawns nothing.
+///
+/// `unit` gets its worker's state and the unit's item range. Returning
+/// `Ok(Break)` stops new claims (units already running still finish);
+/// an error or a caught panic stops them too, and the first one is
+/// returned, a panic as [`CampaignError::WorkerPanic`] over its unit's
+/// range. With `control`, the stop cause is polled before every claim,
+/// and the one observed is returned when no unit failed.
+fn fan_out<S, I, U>(
+    parallelism: Parallelism,
+    items: Range<usize>,
+    batch: Option<usize>,
+    control: Option<&RunControl>,
+    init: I,
+    unit: U,
+) -> Result<Option<StopCause>, CampaignError>
+where
+    I: Fn() -> S + Sync,
+    U: Fn(&mut S, Range<usize>) -> Result<ControlFlow<()>, CampaignError> + Sync,
+{
+    let count = items.len();
+    let workers = parallelism.workers(count);
+    let chunk = batch.unwrap_or((count / (workers * 8)).clamp(1, MAX_CHUNK));
+    let units = count.div_ceil(chunk);
+    let workers = workers.min(units);
+    let next = AtomicUsize::new(0);
+    let halted = AtomicBool::new(false);
+    let failure: Mutex<Option<CampaignError>> = Mutex::new(None);
+    let stopped: Mutex<Option<StopCause>> = Mutex::new(None);
+    let worker = || {
+        let mut state = init();
+        while !halted.load(Ordering::Relaxed) {
+            if let Some(cause) = control.and_then(RunControl::stop_cause) {
+                stopped.lock().expect("stop slot lock").get_or_insert(cause);
+                break;
+            }
+            let u = next.fetch_add(1, Ordering::Relaxed);
+            if u >= units {
+                break;
+            }
+            let lo = items.start + u * chunk;
+            let range = lo..(lo + chunk).min(items.end);
+            let outcome = catch_unwind(AssertUnwindSafe(|| unit(&mut state, range.clone())))
+                .unwrap_or_else(|payload| {
+                    Err(CampaignError::WorkerPanic {
+                        chunk: (range.start, range.end),
+                        payload: panic_message(payload),
+                    })
+                });
+            match outcome {
+                Ok(ControlFlow::Continue(())) => {}
+                Ok(ControlFlow::Break(())) => halted.store(true, Ordering::Relaxed),
+                Err(e) => {
+                    failure.lock().expect("failure slot lock").get_or_insert(e);
+                    halted.store(true, Ordering::Relaxed);
+                }
+            }
+        }
+    };
+    if workers <= 1 {
+        worker();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(worker);
+            }
+        });
+    }
+    match failure.into_inner().expect("failure slot lock") {
+        Some(e) => Err(e),
+        None => Ok(stopped.into_inner().expect("stop slot lock")),
+    }
+}
+
+/// Graceful degradation of a lane batch whose pass panicked: its faults
+/// retry one by one on the scalar oracle, which yields bit-identical
+/// results, and the batch is counted in `degraded`. `trial` injects fault
+/// `fi` into a healed, zero-reset memory and measures it; `store` keeps
+/// the result. A retry that panics too is a real failure, reported as a
+/// [`CampaignError::WorkerPanic`] naming its single fault.
+fn degrade<T>(
+    geom: Geometry,
+    ports: usize,
+    faults: impl IntoIterator<Item = usize>,
+    degraded: &AtomicUsize,
+    trial: impl Fn(usize, &mut Ram) -> T,
+    mut store: impl FnMut(usize, T),
+) -> Result<(), CampaignError> {
+    degraded.fetch_add(1, Ordering::Relaxed);
+    let mut scalar = Ram::with_ports(geom, ports).expect("valid port count");
+    for fi in faults {
+        scalar.eject_faults();
+        scalar.reset_to(0);
+        match catch_unwind(AssertUnwindSafe(|| trial(fi, &mut scalar))) {
+            Ok(v) => store(fi, v),
+            Err(payload) => {
+                return Err(CampaignError::WorkerPanic {
+                    chunk: (fi, fi + 1),
+                    payload: panic_message(payload),
+                })
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Something that can run one prepared, single-fault memory and report
@@ -480,55 +583,11 @@ impl FaultRunner for &ProgramBank {
     }
 }
 
-/// Runs `count` independent trials against pooled memories and collects the
-/// per-trial verdicts in trial order.
-///
-/// This is the boolean specialisation of [`map_trials`] — see there for
-/// the pooling and scheduling contract.
-///
-/// # Panics
-///
-/// Panics if `ports` is not a valid port count for [`Ram::with_ports`].
-pub fn run_trials<F>(
-    geom: Geometry,
-    ports: usize,
-    count: usize,
-    parallelism: Parallelism,
-    trial: F,
-) -> Vec<bool>
-where
-    F: Fn(usize, &mut Ram) -> bool + Sync,
-{
-    map_trials(geom, ports, count, parallelism, trial)
-}
-
-/// The fallible form of [`run_trials`]: configuration errors and caught
-/// worker panics come back as a typed [`CampaignError`] instead of
-/// aborting the process.
-///
-/// # Errors
-///
-/// [`CampaignError::BadConfiguration`] for an invalid port count,
-/// [`CampaignError::WorkerPanic`] when `trial` panicked (the panic is
-/// caught at the fan-out join and poisons only its chunk).
-pub fn try_run_trials<F>(
-    geom: Geometry,
-    ports: usize,
-    count: usize,
-    parallelism: Parallelism,
-    trial: F,
-) -> Result<Vec<bool>, CampaignError>
-where
-    F: Fn(usize, &mut Ram) -> bool + Sync,
-{
-    try_map_trials(geom, ports, count, parallelism, trial)
-}
-
 /// Runs `count` independent trials against pooled memories and collects
 /// each trial's **result value** in trial order — the generic campaign
 /// mode that per-fault *measurements* (MISR signatures for fault
 /// dictionaries, observed response streams, per-trial statistics) build
-/// on, where [`run_trials`] only records a verdict bit. See
+/// on, as well as plain verdict bits (`T = bool`). See
 /// [`map_trials_batched`] for the lane-sliced form measurement campaigns
 /// over an explicit fault list use.
 ///
@@ -583,61 +642,23 @@ where
     F: Fn(usize, &mut Ram) -> T + Sync,
 {
     validate_ports(geom, ports)?;
-    let workers = parallelism.workers(count);
-    let chunk = (count / (workers * 8)).clamp(1, MAX_CHUNK);
-    let n_chunks = count.div_ceil(chunk);
     let results: Vec<OnceLock<T>> = (0..count).map(|_| OnceLock::new()).collect();
-    let panicked = AtomicBool::new(false);
-    let panic_slot: PanicSlot = Mutex::new(None);
-    let run_chunk = |c: usize, ram: &mut Ram| {
-        let (lo, hi) = (c * chunk, ((c + 1) * chunk).min(count));
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            for (i, slot) in results.iter().enumerate().take(hi).skip(lo) {
+    fan_out(
+        parallelism,
+        0..count,
+        None,
+        None,
+        || Ram::with_ports(geom, ports).expect("valid port count"),
+        |ram, range| {
+            for i in range {
                 ram.eject_faults();
                 ram.reset_to(0);
-                // Chunks never overlap, so each slot is set once.
-                let _ = slot.set(trial(i, ram));
+                // Units never overlap, so each slot is set once.
+                let _ = results[i].set(trial(i, ram));
             }
-        }));
-        if let Err(payload) = attempt {
-            record_panic(&panic_slot, (lo, hi), payload);
-            panicked.store(true, Ordering::Relaxed);
-        }
-    };
-    if workers <= 1 {
-        // Single-thread fast path: chunks run in order on the calling
-        // thread, with no claim counter.
-        let mut ram = Ram::with_ports(geom, ports).expect("valid port count");
-        for c in 0..n_chunks {
-            if panicked.load(Ordering::Relaxed) {
-                break;
-            }
-            run_chunk(c, &mut ram);
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let worker = || {
-            let mut ram = Ram::with_ports(geom, ports).expect("valid port count");
-            loop {
-                if panicked.load(Ordering::Relaxed) {
-                    break;
-                }
-                let c = next.fetch_add(1, Ordering::Relaxed);
-                if c >= n_chunks {
-                    break;
-                }
-                run_chunk(c, &mut ram);
-            }
-        };
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(worker);
-            }
-        });
-    }
-    if let Some((chunk, payload)) = panic_slot.into_inner().expect("panic slot lock") {
-        return Err(CampaignError::WorkerPanic { chunk, payload });
-    }
+            Ok(ControlFlow::Continue(()))
+        },
+    )?;
     Ok(results
         .into_iter()
         .map(|slot| slot.into_inner().expect("every trial index was dispatched"))
@@ -725,117 +746,53 @@ where
     FS: Fn(usize, &mut Ram) -> T + Sync,
 {
     validate_ports(geom, ports)?;
-    let lanes_per = LaneRam::<K>::LANES;
-    // Every fault family lane-batches (the scalar remainder seam was
-    // retired once it proved permanently empty), so batch membership is
-    // plain index arithmetic: batch `b` owns fault indices
-    // `b*lanes_per .. (b+1)*lanes_per`.
-    let n_batches = faults.len().div_ceil(lanes_per);
     let results: Vec<OnceLock<T>> = (0..faults.len()).map(|_| OnceLock::new()).collect();
     let degraded = AtomicUsize::new(0);
-    let panic_slot: PanicSlot = Mutex::new(None);
-    let error_slot: Mutex<Option<CampaignError>> = Mutex::new(None);
-    let failed = AtomicBool::new(false);
-    let run_batch = |b: usize, ram: &mut LaneRam<K>, out: &mut Vec<T>| {
-        let lanes = (b * lanes_per)..((b + 1) * lanes_per).min(faults.len());
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            ram.eject_faults();
-            ram.reset_to(0);
-            for (lane, fi) in lanes.clone().enumerate() {
-                ram.inject(faults[fi].clone(), lane).expect("campaign faults are valid");
-            }
-            out.clear();
-            batch_trial(ram, out);
-        }));
-        match attempt {
-            Ok(()) => {
-                if out.len() != lanes.len() {
-                    let mut slot = error_slot.lock().expect("error slot lock");
-                    if slot.is_none() {
-                        *slot = Some(CampaignError::BadConfiguration {
-                            reason: format!(
-                                "batch trial must yield one result per injected lane — got {} \
-                                 results for {} lanes",
-                                out.len(),
-                                lanes.len()
-                            ),
-                        });
-                    }
-                    failed.store(true, Ordering::Relaxed);
-                    return;
+    // Every fault family lane-batches (the scalar remainder seam was
+    // retired once it proved permanently empty), so each unit is one
+    // batch of consecutive fault indices.
+    fan_out(
+        parallelism,
+        0..faults.len(),
+        Some(LaneRam::<K>::LANES),
+        None,
+        || (LaneRam::<K>::with_ports(geom, ports).expect("valid port count"), Vec::new()),
+        |(ram, out), lanes| {
+            let attempt = catch_unwind(AssertUnwindSafe(|| {
+                ram.eject_faults();
+                ram.reset_to(0);
+                for (lane, fi) in lanes.clone().enumerate() {
+                    ram.inject(faults[fi].clone(), lane).expect("campaign faults are valid");
                 }
+                out.clear();
+                batch_trial(ram, out);
+            }));
+            if attempt.is_err() {
+                let trial = |fi: usize, scalar: &mut Ram| {
+                    scalar.inject(faults[fi].clone()).expect("campaign faults are valid");
+                    scalar_trial(fi, scalar)
+                };
+                degrade(geom, ports, lanes, &degraded, trial, |fi, v| {
+                    let _ = results[fi].set(v);
+                })?;
+            } else if out.len() != lanes.len() {
+                return Err(CampaignError::BadConfiguration {
+                    reason: format!(
+                        "batch trial must yield one result per injected lane — got {} results \
+                         for {} lanes",
+                        out.len(),
+                        lanes.len()
+                    ),
+                });
+            } else {
                 for (fi, v) in lanes.zip(out.drain(..)) {
-                    // Batch indices are claimed uniquely, so each slot is
-                    // set once.
+                    // Batches never overlap, so each slot is set once.
                     let _ = results[fi].set(v);
                 }
             }
-            Err(_) => {
-                // Graceful degradation: the whole batch retries on the
-                // scalar oracle; only a retry that *also* fails is fatal.
-                degraded.fetch_add(1, Ordering::Relaxed);
-                let mut scalar = Ram::with_ports(geom, ports).expect("valid port count");
-                for fi in lanes {
-                    scalar.eject_faults();
-                    scalar.reset_to(0);
-                    let retry = catch_unwind(AssertUnwindSafe(|| {
-                        scalar.inject(faults[fi].clone()).expect("campaign faults are valid");
-                        scalar_trial(fi, &mut scalar)
-                    }));
-                    match retry {
-                        Ok(v) => {
-                            let _ = results[fi].set(v);
-                        }
-                        Err(payload) => {
-                            record_panic(&panic_slot, (fi, fi + 1), payload);
-                            failed.store(true, Ordering::Relaxed);
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-    };
-    let workers = parallelism.workers(faults.len()).min(n_batches.max(1));
-    if workers <= 1 {
-        // Single-thread fast path: batches run in order on the calling
-        // thread, with no claim counter.
-        let mut ram = LaneRam::<K>::with_ports(geom, ports).expect("valid port count");
-        let mut out = Vec::new();
-        for b in 0..n_batches {
-            if failed.load(Ordering::Relaxed) {
-                break;
-            }
-            run_batch(b, &mut ram, &mut out);
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let batch_worker = || {
-            let mut ram = LaneRam::<K>::with_ports(geom, ports).expect("valid port count");
-            let mut out = Vec::new();
-            loop {
-                if failed.load(Ordering::Relaxed) {
-                    break;
-                }
-                let b = next.fetch_add(1, Ordering::Relaxed);
-                if b >= n_batches {
-                    break;
-                }
-                run_batch(b, &mut ram, &mut out);
-            }
-        };
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(batch_worker);
-            }
-        });
-    }
-    if let Some(e) = error_slot.into_inner().expect("error slot lock") {
-        return Err(e);
-    }
-    if let Some((chunk, payload)) = panic_slot.into_inner().expect("panic slot lock") {
-        return Err(CampaignError::WorkerPanic { chunk, payload });
-    }
+            Ok(ControlFlow::Continue(()))
+        },
+    )?;
     let values = results
         .into_iter()
         .map(|slot| slot.into_inner().expect("every fault index was dispatched"))
@@ -916,15 +873,10 @@ struct Progress {
     elapsed: Duration,
 }
 
-/// How one segment's fan-out ended.
-enum SegmentOutcome {
-    /// Every trial of the segment completed.
-    Done,
-    /// The deadline or a cancellation stopped the fan-out mid-segment.
-    Stopped(StopCause),
-    /// A worker panic poisoned a chunk; everything else drained.
-    Panicked { chunk: (usize, usize), payload: String },
-}
+/// How one segment's fan-out ended: `Ok(None)` when every trial
+/// completed, `Ok(Some(cause))` when the deadline or a cancellation
+/// stopped it, `Err` when a unit failed (everything else drained).
+type SegmentOutcome = Result<Option<StopCause>, CampaignError>;
 
 /// The shared per-run state the segment drivers write into.
 struct DriveCtx<'t> {
@@ -1317,8 +1269,8 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
             let ctx =
                 DriveCtx { table: &table, done: &done, control: &control, degraded: &degraded };
             let outcome = match &plan {
-                Some(programs) => self.drive_segment_batched(cursor, seg_end, programs, pass, &ctx),
-                None => self.drive_scalar_prefix(cursor, seg_end, &ctx),
+                Some(programs) => self.drive_segment_batched(cursor..seg_end, programs, pass, &ctx),
+                None => self.drive_scalar(cursor..seg_end, &ctx),
             };
             while cursor < seg_end && done[cursor].load(Ordering::Relaxed) {
                 cursor += 1;
@@ -1341,15 +1293,9 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
                     });
                 }
             }
-            match outcome {
-                SegmentOutcome::Done => {}
-                SegmentOutcome::Stopped(cause) => {
-                    stopped = Some(cause);
-                    break;
-                }
-                SegmentOutcome::Panicked { chunk, payload } => {
-                    return Err(CampaignError::WorkerPanic { chunk, payload });
-                }
+            if let Some(cause) = outcome? {
+                stopped = Some(cause);
+                break;
             }
         }
         Ok(Progress {
@@ -1460,34 +1406,17 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         best
     }
 
-    /// Scalar fan-out over the contiguous range `[start, end)`.
-    fn drive_scalar_prefix(&self, start: usize, end: usize, ctx: &DriveCtx<'_>) -> SegmentOutcome {
-        self.drive_scalar(end - start, &|k| start + k, ctx)
-    }
-
-    /// Chunked work-stealing scalar fan-out over `count` trials whose
-    /// universe indices are `map_index(0..count)`. Each worker pools one
-    /// [`Ram`]; chunks are claimed atomically; every chunk body runs
-    /// under [`catch_unwind`], so a panic poisons exactly one chunk (the
-    /// other workers drain and the first panic is reported). The control
-    /// is polled before every claim.
-    fn drive_scalar(
-        &self,
-        count: usize,
-        map_index: &(dyn Fn(usize) -> usize + Sync),
-        ctx: &DriveCtx<'_>,
-    ) -> SegmentOutcome {
-        let workers = self.parallelism.workers(count);
-        let chunk = (count / (workers * 8)).clamp(1, MAX_CHUNK);
-        let n_chunks = count.div_ceil(chunk);
-        let panicked = AtomicBool::new(false);
-        let panic_slot: PanicSlot = Mutex::new(None);
-        let stop_slot: Mutex<Option<StopCause>> = Mutex::new(None);
-        let run_chunk = |c: usize, ram: &mut Ram| {
-            let (lo, hi) = (c * chunk, ((c + 1) * chunk).min(count));
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                for k in lo..hi {
-                    let i = map_index(k);
+    /// Scalar fan-out over the universe indices `segment`: each worker
+    /// pools one [`Ram`], and a panic poisons exactly its own chunk.
+    fn drive_scalar(&self, segment: Range<usize>, ctx: &DriveCtx<'_>) -> SegmentOutcome {
+        fan_out(
+            self.parallelism,
+            segment,
+            None,
+            Some(ctx.control),
+            || Ram::with_ports(self.geom, self.ports).expect("valid port count"),
+            |ram, range| {
+                for i in range {
                     self.chaos_trial(i);
                     ram.eject_faults();
                     ram.reset_to(0);
@@ -1495,62 +1424,12 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
                     ctx.table[i].store(verdict, Ordering::Relaxed);
                     ctx.done[i].store(true, Ordering::Relaxed);
                 }
-            }));
-            if let Err(payload) = attempt {
-                record_panic(&panic_slot, (map_index(lo), map_index(hi - 1) + 1), payload);
-                panicked.store(true, Ordering::Relaxed);
-            }
-        };
-        if workers <= 1 {
-            // Single-thread fast path: no claim counter, no fan-out —
-            // chunks run in order on the calling thread with the same
-            // per-chunk panic isolation and stop polls as the fan-out.
-            let mut ram = Ram::with_ports(self.geom, self.ports).expect("valid port count");
-            for c in 0..n_chunks {
-                if panicked.load(Ordering::Relaxed) {
-                    break;
-                }
-                if let Some(cause) = ctx.control.stop_cause() {
-                    record_stop(&stop_slot, cause);
-                    break;
-                }
-                run_chunk(c, &mut ram);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let worker = || {
-                let mut ram = Ram::with_ports(self.geom, self.ports).expect("valid port count");
-                loop {
-                    if panicked.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    if let Some(cause) = ctx.control.stop_cause() {
-                        record_stop(&stop_slot, cause);
-                        break;
-                    }
-                    let c = next.fetch_add(1, Ordering::Relaxed);
-                    if c >= n_chunks {
-                        break;
-                    }
-                    run_chunk(c, &mut ram);
-                }
-            };
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(worker);
-                }
-            });
-        }
-        if let Some((chunk, payload)) = panic_slot.into_inner().expect("panic slot lock") {
-            return SegmentOutcome::Panicked { chunk, payload };
-        }
-        if let Some(cause) = stop_slot.into_inner().expect("stop slot lock") {
-            return SegmentOutcome::Stopped(cause);
-        }
-        SegmentOutcome::Done
+                Ok(ControlFlow::Continue(()))
+            },
+        )
     }
 
-    /// Lane-batched evaluation of the segment `[start, end)` under
+    /// Lane-batched evaluation of the universe indices `segment` under
     /// `pass`. The full pass takes batches in universe order at the
     /// configured width. The forced sliced pass first regroups the
     /// segment by locality ([`Campaign::locality_order`]). The auto engine
@@ -1571,13 +1450,12 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     /// universe order.
     fn drive_segment_batched(
         &self,
-        start: usize,
-        end: usize,
+        segment: Range<usize>,
         programs: &[&TestProgram],
         pass: Pass<'_>,
         ctx: &DriveCtx<'_>,
     ) -> SegmentOutcome {
-        let trials: Vec<u32> = (start as u32..end as u32).collect();
+        let trials: Vec<u32> = segment.map(|i| i as u32).collect();
         let sparse = match pass {
             Pass::Full => {
                 return self.drive_batches(self.lane_width, &trials, programs, pass, ctx, None)
@@ -1593,7 +1471,7 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
                     ctx,
                     Some(&set_aside),
                 );
-                if !matches!(outcome, SegmentOutcome::Done) {
+                if outcome != Ok(None) {
                     return outcome;
                 }
                 let mut sparse = set_aside.into_inner().expect("set-aside lock");
@@ -1603,7 +1481,7 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
             }
         };
         if sparse.is_empty() {
-            return SegmentOutcome::Done;
+            return Ok(None);
         }
         let width = self.sliced_width(&sparse);
         self.drive_batches(width, &sparse, programs, pass, ctx, None)
@@ -1655,148 +1533,85 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         ctx: &DriveCtx<'_>,
         set_aside: Option<&Mutex<Vec<u32>>>,
     ) -> SegmentOutcome {
-        let lanes_per = LaneRam::<K>::LANES;
-        let count = trials.len();
-        let n_batches = count.div_ceil(lanes_per);
-        let panicked = AtomicBool::new(false);
-        let panic_slot: PanicSlot = Mutex::new(None);
-        let stop_slot: Mutex<Option<StopCause>> = Mutex::new(None);
-        let run_batch = |b: usize, ram: &mut LaneRam<K>, active: &mut ActiveSet| {
-            let batch = &trials[b * lanes_per..((b + 1) * lanes_per).min(count)];
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                self.chaos_batch(batch[0] as usize);
-                let faults = batch.iter().map(|&fi| &self.faults[fi as usize]);
-                let full_pass = match pass {
-                    Pass::Full => true,
-                    Pass::Sliced(_) => {
-                        active.clear();
-                        faults.for_each(|f| active.insert_fault(f));
-                        false
-                    }
-                    Pass::Auto(indexes) => active.prefers_full_pass(&indexes[0], faults),
-                };
-                if let (false, Some(set_aside)) = (full_pass, set_aside) {
-                    set_aside.lock().expect("set-aside lock").extend_from_slice(batch);
-                    return None;
-                }
-                ram.eject_faults();
-                ram.reset_to(0);
-                for (lane, &fi) in batch.iter().enumerate() {
-                    ram.inject(self.faults[fi as usize].clone(), lane)
-                        .expect("campaign faults are valid");
-                }
-                let full = ram.active_lanes();
-                let mut detected = LaneChunk::<K>::ZERO;
-                for (bi, program) in programs.iter().enumerate() {
-                    if bi > 0 {
-                        // The per-fault early exit across backgrounds,
-                        // lane style: stop once every lane is flagged.
-                        if detected == full {
-                            break;
+        // Every panic inside a batch is caught below and degrades, so a
+        // failure here is always a retry naming its single fault.
+        fan_out(
+            self.parallelism,
+            0..trials.len(),
+            Some(LaneRam::<K>::LANES),
+            Some(ctx.control),
+            || {
+                let ram = LaneRam::<K>::with_ports(self.geom, self.ports);
+                (ram.expect("valid port count"), ActiveSet::new())
+            },
+            |(ram, active), positions| {
+                let batch = &trials[positions];
+                let attempt = catch_unwind(AssertUnwindSafe(|| {
+                    self.chaos_batch(batch[0] as usize);
+                    let faults = batch.iter().map(|&fi| &self.faults[fi as usize]);
+                    let full_pass = match pass {
+                        Pass::Full => true,
+                        Pass::Sliced(_) => {
+                            active.clear();
+                            faults.for_each(|f| active.insert_fault(f));
+                            false
                         }
-                        ram.reset_to(0);
-                    }
-                    detected |= match pass {
-                        Pass::Sliced(indexes) | Pass::Auto(indexes) if !full_pass => {
-                            // The union only grows across backgrounds
-                            // (finalize adds each program's forced
-                            // cells); a superset union stays exact.
-                            active.finalize(&indexes[bi]);
-                            program.detect_batch_sliced(ram, &indexes[bi], active)
-                        }
-                        _ => program.detect_batch(ram),
+                        Pass::Auto(indexes) => active.prefers_full_pass(&indexes[0], faults),
                     };
-                }
-                Some(detected)
-            }));
-            match attempt {
-                Ok(Some(detected)) => {
-                    for (lane, &fi) in batch.iter().enumerate() {
-                        ctx.table[fi as usize].store(detected.get(lane), Ordering::Relaxed);
-                        ctx.done[fi as usize].store(true, Ordering::Relaxed);
+                    if let (false, Some(set_aside)) = (full_pass, set_aside) {
+                        set_aside.lock().expect("set-aside lock").extend_from_slice(batch);
+                        return None;
                     }
-                }
-                Ok(None) => {}
-                Err(_) => {
-                    // Graceful degradation: retry the batch on the scalar
-                    // oracle (which produces bit-identical verdicts).
-                    ctx.degraded.fetch_add(1, Ordering::Relaxed);
-                    let mut scalar =
-                        Ram::with_ports(self.geom, self.ports).expect("valid port count");
-                    for &fi in batch {
-                        let fi = fi as usize;
-                        scalar.eject_faults();
-                        scalar.reset_to(0);
-                        let retry =
-                            catch_unwind(AssertUnwindSafe(|| self.run_fault(fi, &mut scalar)));
-                        match retry {
-                            Ok(verdict) => {
-                                ctx.table[fi].store(verdict, Ordering::Relaxed);
-                                ctx.done[fi].store(true, Ordering::Relaxed);
+                    ram.eject_faults();
+                    ram.reset_to(0);
+                    for (lane, &fi) in batch.iter().enumerate() {
+                        ram.inject(self.faults[fi as usize].clone(), lane)
+                            .expect("campaign faults are valid");
+                    }
+                    let full = ram.active_lanes();
+                    let mut detected = LaneChunk::<K>::ZERO;
+                    for (bi, program) in programs.iter().enumerate() {
+                        if bi > 0 {
+                            // The per-fault early exit across backgrounds,
+                            // lane style: stop once every lane is flagged.
+                            if detected == full {
+                                break;
                             }
-                            Err(payload) => {
-                                record_panic(&panic_slot, (fi, fi + 1), payload);
-                                panicked.store(true, Ordering::Relaxed);
-                                return;
+                            ram.reset_to(0);
+                        }
+                        detected |= match pass {
+                            Pass::Sliced(indexes) | Pass::Auto(indexes) if !full_pass => {
+                                // The union only grows across backgrounds
+                                // (finalize adds each program's forced
+                                // cells); a superset union stays exact.
+                                active.finalize(&indexes[bi]);
+                                program.detect_batch_sliced(ram, &indexes[bi], active)
                             }
+                            _ => program.detect_batch(ram),
+                        };
+                    }
+                    Some(detected)
+                }));
+                match attempt {
+                    Ok(Some(detected)) => {
+                        for (lane, &fi) in batch.iter().enumerate() {
+                            ctx.table[fi as usize].store(detected.get(lane), Ordering::Relaxed);
+                            ctx.done[fi as usize].store(true, Ordering::Relaxed);
                         }
                     }
-                }
-            }
-        };
-        let workers = self.parallelism.workers(count).min(n_batches.max(1));
-        if workers <= 1 {
-            // Single-thread fast path: no claim counter, no fan-out —
-            // walk the batches in order on the calling thread. The
-            // per-batch catch_unwind (degradation) and stop polls are
-            // retained, so failure semantics match the fan-out exactly.
-            let mut ram =
-                LaneRam::<K>::with_ports(self.geom, self.ports).expect("valid port count");
-            let mut active = ActiveSet::new();
-            for b in 0..n_batches {
-                if panicked.load(Ordering::Relaxed) {
-                    break;
-                }
-                if let Some(cause) = ctx.control.stop_cause() {
-                    record_stop(&stop_slot, cause);
-                    break;
-                }
-                run_batch(b, &mut ram, &mut active);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let worker = || {
-                let mut ram =
-                    LaneRam::<K>::with_ports(self.geom, self.ports).expect("valid port count");
-                let mut active = ActiveSet::new();
-                loop {
-                    if panicked.load(Ordering::Relaxed) {
-                        break;
+                    Ok(None) => {}
+                    Err(_) => {
+                        let faults = batch.iter().map(|&fi| fi as usize);
+                        let trial = |fi, scalar: &mut Ram| self.run_fault(fi, scalar);
+                        degrade(self.geom, self.ports, faults, ctx.degraded, trial, |fi, v| {
+                            ctx.table[fi].store(v, Ordering::Relaxed);
+                            ctx.done[fi].store(true, Ordering::Relaxed);
+                        })?;
                     }
-                    if let Some(cause) = ctx.control.stop_cause() {
-                        record_stop(&stop_slot, cause);
-                        break;
-                    }
-                    let b = next.fetch_add(1, Ordering::Relaxed);
-                    if b >= n_batches {
-                        break;
-                    }
-                    run_batch(b, &mut ram, &mut active);
                 }
-            };
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(worker);
-                }
-            });
-        }
-        if let Some((chunk, payload)) = panic_slot.into_inner().expect("panic slot lock") {
-            return SegmentOutcome::Panicked { chunk, payload };
-        }
-        if let Some(cause) = stop_slot.into_inner().expect("stop slot lock") {
-            return SegmentOutcome::Stopped(cause);
-        }
-        SegmentOutcome::Done
+                Ok(ControlFlow::Continue(()))
+            },
+        )
     }
 
     /// The compiled programs (one per background) to batch with, when the
@@ -1857,46 +1672,36 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     /// of the universe, where batch packing would mostly evaluate trials
     /// whose verdicts are then discarded.
     pub fn first_escape(&self) -> Option<usize> {
-        let count = self.faults.len();
-        let workers = self.parallelism.workers(count);
-        if workers <= 1 {
-            let mut ram = Ram::with_ports(self.geom, self.ports).expect("valid port count");
-            return (0..count).find(|&i| {
-                ram.eject_faults();
-                ram.reset_to(0);
-                !self.run_fault(i, &mut ram)
-            });
-        }
         let best = AtomicUsize::new(usize::MAX);
-        let next = AtomicUsize::new(0);
-        let chunk = (count / (workers * 8)).clamp(1, MAX_CHUNK);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut ram = Ram::with_ports(self.geom, self.ports).expect("valid port count");
-                    loop {
-                        let start = next.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= count || start >= best.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        for i in start..(start + chunk).min(count) {
-                            // Indices past a known escape cannot improve the
-                            // minimum; indices below it are all still visited,
-                            // so the final value is the true first escape.
-                            if i >= best.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            ram.eject_faults();
-                            ram.reset_to(0);
-                            if !self.run_fault(i, &mut ram) {
-                                best.fetch_min(i, Ordering::Relaxed);
-                                break;
-                            }
-                        }
+        let scan = fan_out(
+            self.parallelism,
+            0..self.faults.len(),
+            None,
+            None,
+            || Ram::with_ports(self.geom, self.ports).expect("valid port count"),
+            |ram, range| {
+                for i in range {
+                    // Indices past a known escape cannot improve the
+                    // minimum; indices below it are all still visited
+                    // (units are claimed in increasing order, and running
+                    // ones finish), so the final value is the true first
+                    // escape.
+                    if i >= best.load(Ordering::Relaxed) {
+                        break;
                     }
-                });
-            }
-        });
+                    ram.eject_faults();
+                    ram.reset_to(0);
+                    if !self.run_fault(i, ram) {
+                        best.fetch_min(i, Ordering::Relaxed);
+                        return Ok(ControlFlow::Break(()));
+                    }
+                }
+                Ok(ControlFlow::Continue(()))
+            },
+        );
+        if let Err(e) = scan {
+            e.raise();
+        }
         let found = best.into_inner();
         (found != usize::MAX).then_some(found)
     }
@@ -1957,6 +1762,7 @@ mod tests {
     use super::*;
     use prt_ram::UniverseSpec;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
 
     /// `w0 ⇑(r0) w1 ⇑(r1)`-ish toy test with full SAF coverage.
     fn toy_runner(ram: &mut Ram, _bg: u64) -> bool {
@@ -2067,12 +1873,212 @@ mod tests {
     #[test]
     fn escapes_and_first_escape_agree() {
         let u = universe();
-        for parallelism in [Parallelism::Sequential, Parallelism::Threads(4)] {
-            let c = Campaign::new(&u, toy_runner).with_parallelism(parallelism);
-            let escapes = c.escapes();
-            assert_eq!(c.first_escape(), escapes.first().copied());
-            assert_eq!(c.count_detected(), u.len() - escapes.len());
+        // The same universe behind a run of detected stuck-at faults, so
+        // its first escape lies past the first unit at every worker
+        // count and the scan must cross unit boundaries to find it.
+        let stuck = FaultUniverse::enumerate(
+            u.geometry(),
+            &UniverseSpec { saf: true, ..UniverseSpec::default() },
+        );
+        let mut padded = vec![stuck.faults(); MAX_CHUNK.div_ceil(stuck.len())].concat();
+        padded.extend_from_slice(u.faults());
+        for faults in [u.faults(), &padded] {
+            for parallelism in [
+                Parallelism::Sequential,
+                Parallelism::Threads(2),
+                Parallelism::Threads(3),
+                Parallelism::Threads(4),
+            ] {
+                let c =
+                    Campaign::over(u.geometry(), faults, toy_runner).with_parallelism(parallelism);
+                let escapes = c.escapes();
+                assert_eq!(c.first_escape(), escapes.first().copied());
+                assert_eq!(c.count_detected(), faults.len() - escapes.len());
+            }
         }
+        assert!(Campaign::over(u.geometry(), &padded, toy_runner).escapes()[0] >= MAX_CHUNK);
+    }
+
+    // ---- the scheduler --------------------------------------------------
+
+    /// Runs `fan_out` over `0..units` one item per unit, counting runs
+    /// per unit; `unit` decides each unit's outcome.
+    fn fan_out_counting(
+        threads: usize,
+        units: usize,
+        control: Option<&RunControl>,
+        unit: impl Fn(usize) -> Result<ControlFlow<()>, CampaignError> + Sync,
+    ) -> (Result<Option<StopCause>, CampaignError>, Vec<usize>) {
+        let runs: Vec<AtomicUsize> = (0..units).map(|_| AtomicUsize::new(0)).collect();
+        let outcome = fan_out(
+            Parallelism::Threads(threads),
+            0..units,
+            Some(1),
+            control,
+            || (),
+            |(), range| {
+                runs[range.start].fetch_add(1, Ordering::Relaxed);
+                unit(range.start)
+            },
+        );
+        (outcome, runs.into_iter().map(AtomicUsize::into_inner).collect())
+    }
+
+    #[test]
+    fn fan_out_runs_every_unit_exactly_once() {
+        for threads in [1usize, 2, 3, 8] {
+            for units in [0usize, 1, 7, 65] {
+                let (outcome, runs) =
+                    fan_out_counting(threads, units, None, |_| Ok(ControlFlow::Continue(())));
+                assert_eq!(outcome, Ok(None), "threads={threads} units={units}");
+                assert!(runs.iter().all(|&r| r == 1), "threads={threads} units={units}: {runs:?}");
+            }
+        }
+        // Balanced chunking tiles the range too, starting anywhere.
+        let hits: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
+        let outcome = fan_out(
+            Parallelism::Threads(3),
+            100..1000,
+            None,
+            None,
+            || (),
+            |(), range| {
+                for i in range {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                }
+                Ok(ControlFlow::Continue(()))
+            },
+        );
+        assert_eq!(outcome, Ok(None));
+        for (i, hit) in hits.iter().enumerate() {
+            assert_eq!(hit.load(Ordering::Relaxed), usize::from(i >= 100), "item {i}");
+        }
+    }
+
+    #[test]
+    fn single_worker_runs_units_in_order_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let order = Mutex::new(Vec::new());
+        let outcome = fan_out(
+            Parallelism::Threads(1),
+            0..20,
+            Some(3),
+            None,
+            || (),
+            |(), range| {
+                assert_eq!(std::thread::current().id(), caller, "no thread may be spawned");
+                order.lock().unwrap().push(range);
+                Ok(ControlFlow::Continue(()))
+            },
+        );
+        assert_eq!(outcome, Ok(None));
+        let expected: Vec<Range<usize>> =
+            (0..20).step_by(3).map(|lo| lo..(lo + 3).min(20)).collect();
+        assert_eq!(order.into_inner().unwrap(), expected);
+    }
+
+    #[test]
+    fn fired_cancel_token_runs_no_unit() {
+        let token = CancelToken::new();
+        token.cancel();
+        let control = RunControl::new(None, Some(token));
+        for threads in [1usize, 3] {
+            let (outcome, runs) =
+                fan_out_counting(threads, 65, Some(&control), |_| Ok(ControlFlow::Continue(())));
+            assert_eq!(outcome, Ok(Some(StopCause::Cancelled)), "threads={threads}");
+            assert!(runs.iter().all(|&r| r == 0), "threads={threads}: {runs:?}");
+        }
+    }
+
+    /// Worker state that, when its worker exits, waits on `exited` if
+    /// it ran the stopping unit.
+    struct Stopper<'b> {
+        ran_stop: bool,
+        exited: &'b Barrier,
+    }
+
+    impl Drop for Stopper<'_> {
+        fn drop(&mut self) {
+            if self.ran_stop {
+                self.exited.wait();
+            }
+        }
+    }
+
+    /// Four workers each hold one of units `0..4`; unit 0 then runs
+    /// `stop`, and units 1–3 finish only once unit 0's worker has exited.
+    /// Returns the outcome and the runs per unit of `0..100`.
+    fn stop_with_units_in_flight(
+        stop: impl Fn() -> Result<ControlFlow<()>, CampaignError> + Sync,
+    ) -> (Result<Option<StopCause>, CampaignError>, Vec<usize>) {
+        const WORKERS: usize = 4;
+        let (in_flight, exited) = (Barrier::new(WORKERS), Barrier::new(WORKERS));
+        let runs: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
+        let outcome = fan_out(
+            Parallelism::Threads(WORKERS),
+            0..100,
+            Some(1),
+            None,
+            || Stopper { ran_stop: false, exited: &exited },
+            |state, range| {
+                let u = range.start;
+                runs[u].fetch_add(1, Ordering::Relaxed);
+                if u < WORKERS {
+                    in_flight.wait();
+                    if u == 0 {
+                        state.ran_stop = true;
+                        return stop();
+                    }
+                    exited.wait();
+                }
+                Ok(ControlFlow::Continue(()))
+            },
+        );
+        (outcome, runs.into_iter().map(AtomicUsize::into_inner).collect())
+    }
+
+    /// One run for each of units `0..=last` of `0..units`.
+    fn ran_through(last: usize, units: usize) -> Vec<usize> {
+        (0..units).map(|u| usize::from(u <= last)).collect()
+    }
+
+    #[test]
+    fn break_stops_new_claims() {
+        // One worker: exactly the prefix up to the breaking unit runs.
+        let (outcome, runs) = fan_out_counting(1, 65, None, |u| {
+            Ok(if u == 5 { ControlFlow::Break(()) } else { ControlFlow::Continue(()) })
+        });
+        assert_eq!(outcome, Ok(None), "a break is not a failure");
+        assert_eq!(runs, ran_through(5, 65));
+        // Several workers: the units already running finish, and none
+        // is claimed after the break.
+        let (outcome, runs) = stop_with_units_in_flight(|| Ok(ControlFlow::Break(())));
+        assert_eq!(outcome, Ok(None));
+        assert_eq!(runs, ran_through(3, 100));
+    }
+
+    #[test]
+    fn caught_panic_stops_claims_and_names_its_unit() {
+        // One worker: the first of two panicking units is reported.
+        let (outcome, runs) = fan_out_counting(1, 65, None, |u| {
+            if u == 3 || u == 9 {
+                panic!("unit {u} failed");
+            }
+            Ok(ControlFlow::Continue(()))
+        });
+        assert_eq!(
+            outcome,
+            Err(CampaignError::WorkerPanic { chunk: (3, 4), payload: "unit 3 failed".into() })
+        );
+        assert_eq!(runs, ran_through(3, 65));
+        // Several workers: the panic is reported with its own unit's
+        // range, and no unit is claimed after it.
+        let (outcome, runs) = stop_with_units_in_flight(|| panic!("unit 0 failed"));
+        assert_eq!(
+            outcome,
+            Err(CampaignError::WorkerPanic { chunk: (0, 1), payload: "unit 0 failed".into() })
+        );
+        assert_eq!(runs, ran_through(3, 100));
     }
 
     #[test]
@@ -2165,8 +2171,8 @@ mod tests {
 
     #[test]
     fn run_trials_verdict_order() {
-        let det =
-            run_trials(Geometry::bom(4), 1, 100, Parallelism::Threads(4), |i, _ram| i % 3 == 0);
+        let det: Vec<bool> =
+            map_trials(Geometry::bom(4), 1, 100, Parallelism::Threads(4), |i, _ram| i % 3 == 0);
         for (i, d) in det.iter().enumerate() {
             assert_eq!(*d, i % 3 == 0, "trial {i}");
         }
