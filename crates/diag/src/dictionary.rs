@@ -234,7 +234,7 @@ fn observe(
     let scalar = |ram: &mut Ram| {
         collector.collect(program, ram).unwrap_or_else(|_| escape_observation(collector))
     };
-    if lane_batching && program.lane_batchable() {
+    if lane_batching {
         try_map_trials_batched::<LANE_WORDS, _, _, _>(
             geom,
             program.ports(),

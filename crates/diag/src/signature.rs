@@ -251,16 +251,9 @@ impl SignatureCollector {
         let sliced = self.index.matches(program) && !active.prefers_full_pass(&self.index, chunk);
         if sliced {
             active.finalize(&self.index);
-            let _ = program.execute_batch_observed_sliced(
-                ram,
-                &self.index,
-                &active,
-                &mut execs,
-                &mut observer,
-            );
-        } else {
-            let _ = program.execute_batch_observed(ram, &mut execs, &mut observer);
         }
+        let slice = sliced.then_some((&*self.index, &active));
+        let _ = program.execute_batch_observed(ram, slice, &mut execs, &mut observer);
         let errored = ram.errored_lanes();
         for (lane, misr) in misrs.iter().enumerate() {
             if errored.get(lane) {

@@ -54,6 +54,21 @@
 //! transformation free: a stale check and the wave write of the same cell
 //! fuse into a single cycle.
 //!
+//! # Lane-batched execution
+//!
+//! [`TestProgram::detect_batch`] (verdicts, early exit) and
+//! [`TestProgram::execute_batch_observed`] (per-lane summaries and the
+//! observed response planes, no early exit) run one program against up
+//! to `64·K` fault trials on a [`LaneRam`]. Both take an optional
+//! activity slice: `None` steps every op (the full pass), `Some((index,
+//! active))` steps only the ops the chunk's faults can disturb and
+//! splices in the fault-free reference for the rest (the sliced pass).
+//! Behind both sits one walk and one op step, generic over what the
+//! pass records, so the batch op semantics — the accumulator's
+//! per-plane GF(2) map step included — are written once. The scalar
+//! interpreter stays separate: it is the oracle the batch passes are
+//! property-tested against.
+//!
 //! # Example
 //!
 //! ```
@@ -121,6 +136,141 @@ type AccPlanes<const K: usize> = [[LaneChunk<K>; Geometry::MAX_WIDTH as usize]; 
 
 /// Per-port buffered read planes of one batched multi-port cycle.
 type ReadPlanes<const K: usize> = [[LaneChunk<K>; Geometry::MAX_WIDTH as usize]; MAX_PORTS];
+
+/// The interpreter state of one batch walk: accumulator and buffered
+/// read planes plus the flagged and frozen lane masks.
+struct BatchState<const K: usize> {
+    acc: AccPlanes<K>,
+    reads: ReadPlanes<K>,
+    detected: LaneChunk<K>,
+    errored: LaneChunk<K>,
+}
+
+/// What a batch walk does beyond driving the device and the lane masks —
+/// the whole difference between [`TestProgram::detect_batch`]
+/// ([`Detect`]) and [`TestProgram::execute_batch_observed`]
+/// ([`Observe`]).
+trait BatchSink<const K: usize> {
+    /// Whether the walk stops once every active lane is flagged or frozen.
+    const EARLY_EXIT: bool;
+    /// One device cycle carrying `ops` reads and writes.
+    fn cycle(&mut self, ops: u64);
+    /// One checked read of op `op_index`: `planes` as read, `diff` the
+    /// unfrozen lanes whose word differed from `expected`.
+    fn checked(
+        &mut self,
+        planes: &[LaneChunk<K>],
+        diff: LaneChunk<K>,
+        stale: bool,
+        op_index: usize,
+        addr: u32,
+        expected: u64,
+    );
+    /// The ops in `gap`, skipped by a sliced walk.
+    fn skipped(&mut self, index: &ActivityIndex, gap: Range<u32>);
+}
+
+/// The detect sink: verdict masks only, early exit.
+struct Detect;
+
+impl<const K: usize> BatchSink<K> for Detect {
+    const EARLY_EXIT: bool = true;
+    #[inline]
+    fn cycle(&mut self, _: u64) {}
+    #[inline]
+    fn checked(&mut self, _: &[LaneChunk<K>], _: LaneChunk<K>, _: bool, _: usize, _: u32, _: u64) {}
+    #[inline]
+    fn skipped(&mut self, _: &ActivityIndex, _: Range<u32>) {}
+}
+
+/// The observed sink: counts ops and cycles, books per-lane mismatches,
+/// and feeds the observer every checked read — the reference response
+/// for a read a sliced walk skipped.
+struct Observe<'a, const K: usize> {
+    execs: &'a mut [Execution],
+    observer: &'a mut dyn FnMut(&[LaneChunk<K>]),
+    ops: u64,
+    cycles: u64,
+    /// Word width: the number of planes in a response.
+    width: usize,
+    /// Scratch planes for broadcast reference responses.
+    gap: [LaneChunk<K>; Geometry::MAX_WIDTH as usize],
+}
+
+impl<const K: usize> BatchSink<K> for Observe<'_, K> {
+    const EARLY_EXIT: bool = false;
+
+    fn cycle(&mut self, ops: u64) {
+        self.ops += ops;
+        self.cycles += 1;
+    }
+
+    /// Each mismatching lane gets its channel counter bumped and, for the
+    /// verdict channel, its first mismatch recorded with the lane's own
+    /// de-sliced word.
+    fn checked(
+        &mut self,
+        planes: &[LaneChunk<K>],
+        diff: LaneChunk<K>,
+        stale: bool,
+        op_index: usize,
+        addr: u32,
+        expected: u64,
+    ) {
+        (self.observer)(planes);
+        diff.for_each_lane(|lane| {
+            let e = &mut self.execs[lane];
+            if stale {
+                e.stale_errors += 1;
+            } else {
+                e.mismatches += 1;
+                if e.first_mismatch.is_none() {
+                    let got = lane_word(planes, lane);
+                    e.first_mismatch =
+                        Some(OpMismatch { op_index, addr: addr as usize, expected, got });
+                }
+            }
+        });
+    }
+
+    fn skipped(&mut self, index: &ActivityIndex, gap: Range<u32>) {
+        let lo = index.responses_before[gap.start as usize] as usize;
+        let hi = index.responses_before[gap.end as usize] as usize;
+        let planes = &mut self.gap[..self.width];
+        for &expect in &index.responses[lo..hi] {
+            for (j, plane) in planes.iter_mut().enumerate() {
+                *plane = LaneChunk::broadcast(expect, j as u32);
+            }
+            (self.observer)(planes);
+        }
+    }
+}
+
+/// The lanes whose read `planes` differ from the broadcast `expect`.
+#[inline]
+fn mismatch<const K: usize>(planes: &[LaneChunk<K>], expect: u64) -> LaneChunk<K> {
+    let mut diff = LaneChunk::<K>::ZERO;
+    for (j, &p) in planes.iter().enumerate() {
+        diff |= p ^ LaneChunk::broadcast(expect, j as u32);
+    }
+    diff
+}
+
+/// One step of the accumulator automaton, per bit-plane: XORs the
+/// linear image of the read `planes` under `masks` into the accumulator
+/// planes `acc` (`acc[i] ^= planes[j]` for every set bit `i` of
+/// `masks[j]`).
+#[inline]
+fn fold_map<const K: usize>(masks: &[u64], planes: &[LaneChunk<K>], acc: &mut [LaneChunk<K>]) {
+    for (j, &p) in planes.iter().enumerate() {
+        let mut img = masks[j];
+        while img != 0 {
+            let i = img.trailing_zeros() as usize;
+            acc[i] ^= p;
+            img &= img - 1;
+        }
+    }
+}
 
 /// One operation of a port slot inside a [`MemOp::CycleN`].
 ///
@@ -437,16 +587,6 @@ impl TestProgram {
         self.run(ram, true, None, None).map(|e| e.detected()).unwrap_or(false)
     }
 
-    /// `true` when this program can drive a lane-sliced batch run.
-    ///
-    /// Since the multi-port `CycleN` interpreter arm was batched, every
-    /// compiled program batches — the predicate is kept only as the
-    /// partition seam campaign engines query, so a future scalar-only
-    /// program variant has somewhere to opt out.
-    pub fn lane_batchable(&self) -> bool {
-        true
-    }
-
     /// Runs the program against up to [`LaneRam::<K>::LANES`] fault
     /// trials **simultaneously** on a lane-sliced [`LaneRam`], and
     /// returns the mask of lanes whose trial was flagged (either channel
@@ -457,13 +597,9 @@ impl TestProgram {
     /// per trial lane, with the precompiled GF(2)-linear maps applied
     /// per bit-plane (`acc_plane[i] ^= value_plane[j]` for every set bit
     /// `i` of mask `j` — no per-lane arithmetic anywhere). The run early
-    /// exits once every active lane has been flagged (the lane-masked
-    /// form of the scalar early exit; verdicts are unaffected because a
-    /// flagged lane's verdict is final).
-    ///
-    /// Per lane, the returned verdict is **bit-identical** to
-    /// [`TestProgram::detect`] on a scalar [`Ram`] carrying that lane's
-    /// fault (property-tested in `tests/batch.rs`).
+    /// exits once every active lane has been flagged or frozen (the
+    /// lane-masked form of the scalar early exit; verdicts are unaffected
+    /// because a flagged lane's verdict is final).
     ///
     /// Multi-port `CycleN` schedules batch too: each cycle stages its
     /// write claims through [`LaneRam::cycle_conflicts`] first (the
@@ -475,237 +611,252 @@ impl TestProgram {
     /// error-as-escape convention) and later reads on them can neither
     /// set nor clear detection.
     ///
+    /// `slice` selects the pass. `None` runs the **full pass**: every op
+    /// executes on the device. `Some((index, active))` runs the **sliced
+    /// pass**: only the ops in `active` (the chunk's span-union activity
+    /// set resolved against `index`) execute; the fault-free effect of
+    /// every skipped gap is spliced in from the precomputed reference —
+    /// the operation clock jumps, out-of-union cells an active op reads
+    /// are poked to their pre-op reference value, and stuck-open sense
+    /// amplifiers are restored from the per-port read history. Outside
+    /// the span union the device state equals the fault-free reference
+    /// on every lane, so a skipped op can neither flag a lane nor change
+    /// any state an active op observes.
+    ///
+    /// Per lane, the verdict of either pass is **bit-identical** to
+    /// [`TestProgram::detect`] on a scalar [`Ram`] carrying that lane's
+    /// fault (property-tested in `tests/batch.rs` and `tests/slicing.rs`).
+    ///
     /// # Panics
     ///
     /// Panics when the program needs more ports than `ram` was built
-    /// with, or when `ram`'s geometry differs from the one the program
-    /// was compiled for. A whole *batch* on the wrong device would
-    /// silently report every lane as an escape (0% coverage), so unlike
-    /// the scalar per-trial error-as-escape convention these
-    /// configuration errors are surfaced loudly. Resilient campaign
-    /// runtimes that must not abort use [`TestProgram::try_detect_batch`],
-    /// which this is a thin wrapper over.
-    pub fn detect_batch<const K: usize>(&self, ram: &mut LaneRam<K>) -> LaneChunk<K> {
-        self.try_detect_batch(ram).unwrap_or_else(|e| self.panic_batch_config(e))
-    }
-
-    /// The fallible form of [`TestProgram::detect_batch`]: the same batch
-    /// interpreter pass, with the two whole-batch configuration errors
-    /// surfaced as typed [`RamError`]s instead of panics — the entry point
-    /// fault-tolerant campaign services dispatch through.
-    ///
-    /// # Errors
-    ///
-    /// [`RamError::TooManyPortOps`] when the program needs more ports
-    /// than `ram` was built with (construct the pool with
-    /// [`LaneRam::with_ports`]); [`RamError::ProgramGeometryMismatch`]
-    /// when `ram` was built for a different geometry than the program
-    /// was compiled for.
-    pub fn try_detect_batch<const K: usize>(
+    /// with, when `ram`'s geometry differs from the one the program was
+    /// compiled for, or when `index` was not built for this program. A
+    /// whole *batch* on the wrong device would silently report every
+    /// lane as an escape (0% coverage), so unlike the scalar per-trial
+    /// error-as-escape convention these configuration errors are loud;
+    /// campaign runtimes that must not abort catch the panic and degrade
+    /// the batch to the scalar oracle.
+    pub fn detect_batch<const K: usize>(
         &self,
         ram: &mut LaneRam<K>,
-    ) -> Result<LaneChunk<K>, RamError> {
-        self.check_batch_config(ram)?;
-        Ok(self.detect_batch_unchecked(ram))
+        slice: Option<(&ActivityIndex, &ActiveSet)>,
+    ) -> LaneChunk<K> {
+        self.walk(ram, slice, &mut Detect).0
+    }
+
+    /// Runs the program against up to [`LaneRam::<K>::LANES`] fault
+    /// trials simultaneously **without early exit**, reporting per-lane
+    /// channel counts and feeding `observer` the bit-planes of every
+    /// checked read — the lane counterpart of
+    /// [`TestProgram::execute_observed`], and the engine batched
+    /// *measurement* campaigns (MISR signature collection, fault
+    /// dictionaries) run on: the response-stream length is
+    /// lane-independent, so a per-lane compactor sees exactly the stream
+    /// a scalar run of that lane's fault would produce.
+    ///
+    /// `execs[k]` receives lane `k`'s execution summary (reset first);
+    /// per lane it equals the scalar
+    /// `execute_observed(ram, false, None, ..)` summary on a [`Ram`]
+    /// carrying that lane's fault — counts, first mismatch, ops and
+    /// cycles (property-tested in `tests/batch.rs`). Returns the mask of
+    /// active lanes whose trial was flagged on either channel.
+    ///
+    /// `slice` selects the full or the sliced pass, as for
+    /// [`TestProgram::detect_batch`]. In the sliced pass every *skipped*
+    /// checked read feeds `observer` the broadcast of its expected word —
+    /// exactly the fault-free response every unfrozen lane would have
+    /// produced, per the [`TestProgram::expected_responses`] contract —
+    /// so the observed stream keeps its lane-independent length and, for
+    /// lanes outside [`LaneRam::errored_lanes`], is bit-identical to the
+    /// full pass. Execution summaries report the precompiled full-pass
+    /// op/cycle totals, and first-mismatch records keep their original
+    /// op indices: a skipped checked read cannot mismatch on an unfrozen
+    /// lane.
+    ///
+    /// Lanes frozen by a multi-port write-write conflict mirror the
+    /// scalar error-as-escape convention for the *whole* execution: the
+    /// scalar run returns `Err` and its summary is discarded, so frozen
+    /// lanes report a default [`Execution`] and are excluded from the
+    /// returned mask even if they mismatched before the conflict. Their
+    /// observations are unspecified in both passes: compactors
+    /// substitute the reference observation for lanes in
+    /// [`LaneRam::errored_lanes`].
+    ///
+    /// # Panics
+    ///
+    /// As [`TestProgram::detect_batch`], and unless
+    /// `execs.len() == LaneRam::<K>::LANES`.
+    pub fn execute_batch_observed<const K: usize>(
+        &self,
+        ram: &mut LaneRam<K>,
+        slice: Option<(&ActivityIndex, &ActiveSet)>,
+        execs: &mut [Execution],
+        observer: &mut dyn FnMut(&[LaneChunk<K>]),
+    ) -> LaneChunk<K> {
+        assert_eq!(execs.len(), LaneRam::<K>::LANES, "one execution summary per lane");
+        execs.fill(Execution::default());
+        let mut sink = Observe {
+            execs,
+            observer,
+            ops: 0,
+            cycles: 0,
+            width: self.geom.width() as usize,
+            gap: [LaneChunk::ZERO; Geometry::MAX_WIDTH as usize],
+        };
+        let (detected, errored) = self.walk(ram, slice, &mut sink);
+        // Every lane executes every op — there is no early exit — so the
+        // op/cycle totals are lane-independent; a sliced walk takes them
+        // from the precompiled full pass. Frozen lanes report the default
+        // summary: the scalar run they mirror returned `Err`.
+        let (ops, cycles) = match slice {
+            None => (sink.ops, sink.cycles),
+            Some((index, _)) => (index.total_ops, index.total_cycles),
+        };
+        for (lane, e) in sink.execs.iter_mut().enumerate() {
+            if errored.get(lane) {
+                *e = Execution::default();
+            } else {
+                e.ops = ops;
+                e.cycles = cycles;
+            }
+        }
+        detected & !errored
     }
 
     /// Rejects the whole-batch configuration errors (validated before any
     /// lane is touched, so a rejected batch has no side effects).
-    fn check_batch_config<const K: usize>(&self, ram: &LaneRam<K>) -> Result<(), RamError> {
-        if self.ports > ram.ports() {
-            return Err(RamError::TooManyPortOps { submitted: self.ports, ports: ram.ports() });
-        }
-        if ram.geometry() != self.geom {
-            return Err(RamError::ProgramGeometryMismatch {
-                compiled: self.geom,
-                device: ram.geometry(),
-            });
-        }
-        Ok(())
+    fn check_batch_config<const K: usize>(&self, ram: &LaneRam<K>) {
+        assert!(
+            self.ports <= ram.ports(),
+            "program '{}' needs {} ports but the LaneRam was built with {}",
+            self.name,
+            self.ports,
+            ram.ports()
+        );
+        assert!(
+            ram.geometry() == self.geom,
+            "program '{}' was compiled for a different geometry than the LaneRam",
+            self.name
+        );
     }
 
-    /// Maps a batch configuration error back onto the exact panic message
-    /// the panicking wrappers have always used (regression-tested since
-    /// the silent-zero-coverage fix).
-    fn panic_batch_config(&self, e: RamError) -> ! {
-        match e {
-            RamError::TooManyPortOps { submitted, ports } => panic!(
-                "program '{}' needs {} ports but the LaneRam was built with {}",
-                self.name, submitted, ports
-            ),
-            RamError::ProgramGeometryMismatch { .. } => panic!(
-                "program '{}' was compiled for a different geometry than the LaneRam",
-                self.name
-            ),
-            e => panic!("{e}"),
-        }
-    }
-
-    fn detect_batch_unchecked<const K: usize>(&self, ram: &mut LaneRam<K>) -> LaneChunk<K> {
-        let full = ram.active_lanes();
-        let mut acc = [[LaneChunk::<K>::ZERO; Geometry::MAX_WIDTH as usize]; ACC_LANES];
-        let mut reads = [[LaneChunk::<K>::ZERO; Geometry::MAX_WIDTH as usize]; MAX_PORTS];
-        let mut detected = LaneChunk::<K>::ZERO;
-        let mut errored = LaneChunk::<K>::ZERO;
-        for op in &self.ops {
-            self.detect_step(ram, op, &mut acc, &mut reads, &mut detected, &mut errored);
-            if (detected | errored) & full == full {
-                break;
-            }
-        }
-        detected & full
-    }
-
-    /// One op of the detection batch interpreter — the body shared by the
-    /// full pass ([`TestProgram::detect_batch`]) and the sliced pass
-    /// ([`TestProgram::detect_batch_sliced`]), so the two modes cannot
-    /// drift apart semantically.
-    #[inline]
-    fn detect_step<const K: usize>(
+    /// The one walk behind both batch entry points: steps every op (the
+    /// full pass, `slice == None`) or only the active ops, splicing in
+    /// each skipped gap first (the sliced pass). The two loops stay
+    /// separate so the full pass carries no per-op slicing branch.
+    /// Returns the flagged active lanes and the frozen lanes.
+    fn walk<const K: usize, S: BatchSink<K>>(
         &self,
         ram: &mut LaneRam<K>,
-        op: &MemOp,
-        acc: &mut AccPlanes<K>,
-        reads: &mut ReadPlanes<K>,
-        detected: &mut LaneChunk<K>,
-        errored: &mut LaneChunk<K>,
+        slice: Option<(&ActivityIndex, &ActiveSet)>,
+        sink: &mut S,
+    ) -> (LaneChunk<K>, LaneChunk<K>) {
+        self.check_batch_config(ram);
+        let full = ram.active_lanes();
+        let mut st = BatchState {
+            acc: [[LaneChunk::ZERO; Geometry::MAX_WIDTH as usize]; ACC_LANES],
+            reads: [[LaneChunk::ZERO; Geometry::MAX_WIDTH as usize]; MAX_PORTS],
+            detected: LaneChunk::ZERO,
+            errored: LaneChunk::ZERO,
+        };
+        match slice {
+            None => {
+                for (idx, &op) in self.ops.iter().enumerate() {
+                    self.step(ram, idx, op, &mut st, sink);
+                    if S::EARLY_EXIT && (st.detected | st.errored) & full == full {
+                        break;
+                    }
+                }
+            }
+            Some((index, active)) => {
+                assert!(index.matches(self), "activity index was built for a different program");
+                let base_time = ram.op_time();
+                let sof = ram.has_sof();
+                let mut next = 0u32;
+                for &opi in active.ops() {
+                    sink.skipped(index, next..opi);
+                    self.splice_gap(ram, index, active, base_time, sof, next..opi);
+                    self.step(ram, opi as usize, self.ops[opi as usize], &mut st, sink);
+                    if S::EARLY_EXIT && (st.detected | st.errored) & full == full {
+                        break;
+                    }
+                    next = opi + 1;
+                }
+                sink.skipped(index, next..self.ops.len() as u32);
+            }
+        }
+        (st.detected & full, st.errored)
+    }
+
+    /// One op of the batch interpreter — the only place the lane-batched
+    /// op semantics live, shared by both entry points in both passes.
+    #[inline]
+    fn step<const K: usize, S: BatchSink<K>>(
+        &self,
+        ram: &mut LaneRam<K>,
+        idx: usize,
+        op: MemOp,
+        st: &mut BatchState<K>,
+        sink: &mut S,
     ) {
         let m = self.geom.width() as usize;
-        match *op {
-            MemOp::Write { addr, data } => ram.write_broadcast(addr as usize, data),
+        match op {
+            MemOp::Write { addr, data } => {
+                ram.write_broadcast(addr as usize, data);
+                sink.cycle(1);
+            }
             MemOp::ReadExpect { addr, expect }
             | MemOp::ReadStale { addr, expect }
             | MemOp::ReadCapture { addr, expect } => {
                 let planes = ram.read(addr as usize);
-                let mut diff = LaneChunk::<K>::ZERO;
-                for (j, &p) in planes.iter().enumerate() {
-                    diff |= p ^ LaneChunk::broadcast(expect, j as u32);
-                }
-                *detected |= diff & !*errored;
+                sink.cycle(1);
+                let diff = mismatch(planes, expect) & !st.errored;
+                let stale = matches!(op, MemOp::ReadStale { .. });
+                sink.checked(planes, diff, stale, idx, addr, expect);
+                st.detected |= diff;
             }
             MemOp::ReadAny { addr } => {
                 let _ = ram.read(addr as usize);
+                sink.cycle(1);
             }
             MemOp::AccSet { lane, value } => {
-                for (j, plane) in acc[lane as usize][..m].iter_mut().enumerate() {
+                for (j, plane) in st.acc[lane as usize][..m].iter_mut().enumerate() {
                     *plane = LaneChunk::broadcast(value, j as u32);
                 }
             }
             MemOp::ReadAcc { addr, map, lane } => {
                 let planes = ram.read(addr as usize);
-                let masks = &self.maps[map as usize];
-                let a = &mut acc[lane as usize];
-                for (j, &p) in planes.iter().enumerate() {
-                    let mut img = masks[j];
-                    while img != 0 {
-                        let i = img.trailing_zeros() as usize;
-                        a[i] ^= p;
-                        img &= img - 1;
-                    }
-                }
+                sink.cycle(1);
+                fold_map(&self.maps[map as usize], planes, &mut st.acc[lane as usize]);
             }
             MemOp::WriteAcc { addr, lane } => {
-                ram.write_planes(addr as usize, &acc[lane as usize][..m]);
+                ram.write_planes(addr as usize, &st.acc[lane as usize][..m]);
+                sink.cycle(1);
             }
             MemOp::CycleN { start, len } => {
                 let slots = &self.slots[start as usize..start as usize + len as usize];
-                *errored = self.cycle_batch_ram_phase(ram, slots, acc, reads);
+                st.errored = self.cycle_batch_ram_phase(ram, slots, &st.acc, &mut st.reads);
+                sink.cycle(slots.iter().filter(|s| !matches!(s, SlotOp::Idle)).count() as u64);
                 for (port, &slot) in slots.iter().enumerate() {
+                    let planes = &st.reads[port][..m];
                     match slot {
                         SlotOp::Idle | SlotOp::Write { .. } | SlotOp::WriteAcc { .. } => {}
                         SlotOp::ReadAcc { map, lane, .. } => {
-                            let masks = &self.maps[map as usize];
-                            let a = &mut acc[lane as usize];
-                            for (j, &p) in reads[port][..m].iter().enumerate() {
-                                let mut img = masks[j];
-                                while img != 0 {
-                                    let i = img.trailing_zeros() as usize;
-                                    a[i] ^= p;
-                                    img &= img - 1;
-                                }
-                            }
+                            fold_map(&self.maps[map as usize], planes, &mut st.acc[lane as usize]);
                         }
-                        SlotOp::ReadExpect { expect, .. }
-                        | SlotOp::ReadStale { expect, .. }
-                        | SlotOp::ReadCapture { expect, .. } => {
-                            let mut diff = LaneChunk::<K>::ZERO;
-                            for (j, &p) in reads[port][..m].iter().enumerate() {
-                                diff |= p ^ LaneChunk::broadcast(expect, j as u32);
-                            }
-                            *detected |= diff & !*errored;
+                        SlotOp::ReadExpect { addr, expect }
+                        | SlotOp::ReadStale { addr, expect }
+                        | SlotOp::ReadCapture { addr, expect } => {
+                            let diff = mismatch(planes, expect) & !st.errored;
+                            let stale = matches!(slot, SlotOp::ReadStale { .. });
+                            sink.checked(planes, diff, stale, idx, addr, expect);
+                            st.detected |= diff;
                         }
                     }
                 }
             }
         }
-    }
-
-    /// [`TestProgram::detect_batch`] in **sliced execution mode**: only
-    /// the ops in `active` (the chunk's span-union activity set resolved
-    /// against `index`) execute on the device; the fault-free effect of
-    /// every skipped gap is spliced in from the precomputed reference —
-    /// the operation clock jumps, out-of-union cells an active op reads
-    /// are poked to their pre-op reference value, and stuck-open sense
-    /// amplifiers are restored from the per-port read history.
-    ///
-    /// Per lane, the verdict is **bit-identical** to
-    /// [`TestProgram::detect_batch`] (property-tested in
-    /// `tests/slicing.rs`): outside the span union the device state
-    /// equals the fault-free reference on every lane, so a skipped op
-    /// can neither flag a lane nor change any state an active op
-    /// observes.
-    ///
-    /// # Panics
-    ///
-    /// As [`TestProgram::detect_batch`], plus when `index` was not built
-    /// for this program.
-    pub fn detect_batch_sliced<const K: usize>(
-        &self,
-        ram: &mut LaneRam<K>,
-        index: &ActivityIndex,
-        active: &ActiveSet,
-    ) -> LaneChunk<K> {
-        self.try_detect_batch_sliced(ram, index, active)
-            .unwrap_or_else(|e| self.panic_batch_config(e))
-    }
-
-    /// The fallible form of [`TestProgram::detect_batch_sliced`].
-    ///
-    /// # Errors
-    ///
-    /// As [`TestProgram::try_detect_batch`].
-    pub fn try_detect_batch_sliced<const K: usize>(
-        &self,
-        ram: &mut LaneRam<K>,
-        index: &ActivityIndex,
-        active: &ActiveSet,
-    ) -> Result<LaneChunk<K>, RamError> {
-        self.check_batch_config(ram)?;
-        assert!(index.matches(self), "activity index was built for a different program");
-        let full = ram.active_lanes();
-        let base_time = ram.op_time();
-        let sof = ram.has_sof();
-        let mut acc = [[LaneChunk::<K>::ZERO; Geometry::MAX_WIDTH as usize]; ACC_LANES];
-        let mut reads = [[LaneChunk::<K>::ZERO; Geometry::MAX_WIDTH as usize]; MAX_PORTS];
-        let mut detected = LaneChunk::<K>::ZERO;
-        let mut errored = LaneChunk::<K>::ZERO;
-        let mut next = 0u32;
-        for &opi in active.ops() {
-            self.splice_gap(ram, index, active, base_time, sof, next..opi);
-            self.detect_step(
-                ram,
-                &self.ops[opi as usize],
-                &mut acc,
-                &mut reads,
-                &mut detected,
-                &mut errored,
-            );
-            if (detected | errored) & full == full {
-                break;
-            }
-            next = opi + 1;
-        }
-        Ok(detected & full)
     }
 
     /// Splices the fault-free reference effects of the skipped gap
@@ -722,7 +873,7 @@ impl TestProgram {
         active: &ActiveSet,
         base_time: u64,
         sof: bool,
-        gap: std::ops::Range<u32>,
+        gap: Range<u32>,
     ) {
         let (next, opi) = (gap.start, gap.end);
         let j = opi as usize;
@@ -754,8 +905,8 @@ impl TestProgram {
         &self,
         ram: &mut LaneRam<K>,
         slots: &[SlotOp],
-        acc: &[[LaneChunk<K>; Geometry::MAX_WIDTH as usize]; ACC_LANES],
-        reads: &mut [[LaneChunk<K>; Geometry::MAX_WIDTH as usize]; MAX_PORTS],
+        acc: &AccPlanes<K>,
+        reads: &mut ReadPlanes<K>,
     ) -> LaneChunk<K> {
         let m = self.geom.width() as usize;
         let mut write_addrs = [0usize; MAX_PORTS];
@@ -786,375 +937,6 @@ impl TestProgram {
             }
         }
         errored
-    }
-
-    /// Runs the program against up to [`LaneRam::<K>::LANES`] fault
-    /// trials simultaneously **without early exit**, reporting per-lane
-    /// channel counts and feeding `observer` the bit-planes of every
-    /// checked read — the lane counterpart of
-    /// [`TestProgram::execute_observed`], and the engine batched
-    /// *measurement* campaigns (MISR signature collection, fault
-    /// dictionaries) run on: the response-stream length is
-    /// lane-independent, so a per-lane compactor sees exactly the stream
-    /// a scalar run of that lane's fault would produce.
-    ///
-    /// `execs[k]` receives lane `k`'s execution summary (reset first);
-    /// per lane it equals the scalar
-    /// `execute_observed(ram, false, None, ..)` summary on a [`Ram`]
-    /// carrying that lane's fault — counts, first mismatch, ops and
-    /// cycles (property-tested in `tests/batch.rs`). Returns the mask of
-    /// active lanes whose trial was flagged on either channel.
-    ///
-    /// Lanes frozen by a multi-port write-write conflict mirror the
-    /// scalar error-as-escape convention for the *whole* execution: the
-    /// scalar run returns `Err` and its summary is discarded, so frozen
-    /// lanes report a default [`Execution`] and are excluded from the
-    /// returned mask even if they mismatched before the conflict.
-    /// Compactors consuming the observed stream substitute the reference
-    /// observation for lanes in [`LaneRam::errored_lanes`].
-    ///
-    /// # Panics
-    ///
-    /// As [`TestProgram::detect_batch`]: a port shortfall and a
-    /// geometry-mismatched `ram` are loud configuration errors
-    /// ([`TestProgram::try_execute_batch_observed`] is the fallible form
-    /// this is a thin wrapper over). Also panics unless
-    /// `execs.len() == LaneRam::<K>::LANES`.
-    pub fn execute_batch_observed<const K: usize>(
-        &self,
-        ram: &mut LaneRam<K>,
-        execs: &mut [Execution],
-        observer: &mut dyn FnMut(&[LaneChunk<K>]),
-    ) -> LaneChunk<K> {
-        self.try_execute_batch_observed(ram, execs, observer)
-            .unwrap_or_else(|e| self.panic_batch_config(e))
-    }
-
-    /// The fallible form of [`TestProgram::execute_batch_observed`]: the
-    /// same full-counts batch pass, with the whole-batch configuration
-    /// errors surfaced as typed [`RamError`]s instead of panics.
-    ///
-    /// # Errors
-    ///
-    /// As [`TestProgram::try_detect_batch`].
-    pub fn try_execute_batch_observed<const K: usize>(
-        &self,
-        ram: &mut LaneRam<K>,
-        execs: &mut [Execution],
-        observer: &mut dyn FnMut(&[LaneChunk<K>]),
-    ) -> Result<LaneChunk<K>, RamError> {
-        self.check_batch_config(ram)?;
-        assert_eq!(execs.len(), LaneRam::<K>::LANES, "one execution summary per lane");
-        execs.fill(Execution::default());
-        let mut acc = [[LaneChunk::<K>::ZERO; Geometry::MAX_WIDTH as usize]; ACC_LANES];
-        let mut reads = [[LaneChunk::<K>::ZERO; Geometry::MAX_WIDTH as usize]; MAX_PORTS];
-        let mut detected = LaneChunk::<K>::ZERO;
-        let mut errored = LaneChunk::<K>::ZERO;
-        let mut ops = 0u64;
-        let mut cycles = 0u64;
-        for idx in 0..self.ops.len() {
-            self.observed_step(
-                ram,
-                idx,
-                &mut acc,
-                &mut reads,
-                &mut detected,
-                &mut errored,
-                &mut ops,
-                &mut cycles,
-                execs,
-                observer,
-            );
-        }
-        // Every lane executes every op — there is no early exit — so the
-        // op/cycle totals are lane-independent. Frozen lanes report the
-        // default summary: the scalar run they mirror returned `Err` and
-        // its counts were discarded.
-        for (lane, e) in execs.iter_mut().enumerate() {
-            if errored.get(lane) {
-                *e = Execution::default();
-            } else {
-                e.ops = ops;
-                e.cycles = cycles;
-            }
-        }
-        Ok(detected & !errored & ram.active_lanes())
-    }
-
-    /// One op of the observed batch interpreter — the body shared by the
-    /// full pass ([`TestProgram::execute_batch_observed`]) and the sliced
-    /// pass ([`TestProgram::execute_batch_observed_sliced`]), so the two
-    /// modes cannot drift apart semantically.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn observed_step<const K: usize>(
-        &self,
-        ram: &mut LaneRam<K>,
-        idx: usize,
-        acc: &mut AccPlanes<K>,
-        reads: &mut ReadPlanes<K>,
-        detected: &mut LaneChunk<K>,
-        errored: &mut LaneChunk<K>,
-        ops: &mut u64,
-        cycles: &mut u64,
-        execs: &mut [Execution],
-        observer: &mut dyn FnMut(&[LaneChunk<K>]),
-    ) {
-        let m = self.geom.width() as usize;
-        let op = &self.ops[idx];
-        match *op {
-            MemOp::Write { addr, data } => {
-                ram.write_broadcast(addr as usize, data);
-                *ops += 1;
-                *cycles += 1;
-            }
-            MemOp::ReadExpect { addr, expect }
-            | MemOp::ReadStale { addr, expect }
-            | MemOp::ReadCapture { addr, expect } => {
-                let planes = ram.read(addr as usize);
-                observer(planes);
-                *ops += 1;
-                *cycles += 1;
-                let mut diff = LaneChunk::<K>::ZERO;
-                for (j, &p) in planes.iter().enumerate() {
-                    diff |= p ^ LaneChunk::broadcast(expect, j as u32);
-                }
-                diff &= !*errored;
-                if !diff.is_zero() {
-                    let stale = matches!(op, MemOp::ReadStale { .. });
-                    Self::book_lanes(execs, diff, planes, stale, idx, addr as usize, expect);
-                    *detected |= diff;
-                }
-            }
-            MemOp::ReadAny { addr } => {
-                let _ = ram.read(addr as usize);
-                *ops += 1;
-                *cycles += 1;
-            }
-            MemOp::AccSet { lane, value } => {
-                for (j, plane) in acc[lane as usize][..m].iter_mut().enumerate() {
-                    *plane = LaneChunk::broadcast(value, j as u32);
-                }
-            }
-            MemOp::ReadAcc { addr, map, lane } => {
-                let planes = ram.read(addr as usize);
-                *ops += 1;
-                *cycles += 1;
-                let masks = &self.maps[map as usize];
-                let a = &mut acc[lane as usize];
-                for (j, &p) in planes.iter().enumerate() {
-                    let mut img = masks[j];
-                    while img != 0 {
-                        let i = img.trailing_zeros() as usize;
-                        a[i] ^= p;
-                        img &= img - 1;
-                    }
-                }
-            }
-            MemOp::WriteAcc { addr, lane } => {
-                ram.write_planes(addr as usize, &acc[lane as usize][..m]);
-                *ops += 1;
-                *cycles += 1;
-            }
-            MemOp::CycleN { start, len } => {
-                let slots = &self.slots[start as usize..start as usize + len as usize];
-                *errored = self.cycle_batch_ram_phase(ram, slots, acc, reads);
-                *ops += slots.iter().filter(|s| !matches!(s, SlotOp::Idle)).count() as u64;
-                *cycles += 1;
-                for (port, &slot) in slots.iter().enumerate() {
-                    match slot {
-                        SlotOp::Idle | SlotOp::Write { .. } | SlotOp::WriteAcc { .. } => {}
-                        SlotOp::ReadAcc { map, lane, .. } => {
-                            let masks = &self.maps[map as usize];
-                            let a = &mut acc[lane as usize];
-                            for (j, &p) in reads[port][..m].iter().enumerate() {
-                                let mut img = masks[j];
-                                while img != 0 {
-                                    let i = img.trailing_zeros() as usize;
-                                    a[i] ^= p;
-                                    img &= img - 1;
-                                }
-                            }
-                        }
-                        SlotOp::ReadExpect { addr, expect }
-                        | SlotOp::ReadStale { addr, expect }
-                        | SlotOp::ReadCapture { addr, expect } => {
-                            let planes = &reads[port][..m];
-                            observer(planes);
-                            let mut diff = LaneChunk::<K>::ZERO;
-                            for (j, &p) in planes.iter().enumerate() {
-                                diff |= p ^ LaneChunk::broadcast(expect, j as u32);
-                            }
-                            diff &= !*errored;
-                            if !diff.is_zero() {
-                                let stale = matches!(slot, SlotOp::ReadStale { .. });
-                                Self::book_lanes(
-                                    execs,
-                                    diff,
-                                    planes,
-                                    stale,
-                                    idx,
-                                    addr as usize,
-                                    expect,
-                                );
-                                *detected |= diff;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// [`TestProgram::execute_batch_observed`] in **sliced execution
-    /// mode** (see [`TestProgram::detect_batch_sliced`]): only the active
-    /// ops execute; every *skipped* checked read feeds `observer` the
-    /// broadcast of its expected word — exactly the fault-free response
-    /// every unfrozen lane would have produced, per the
-    /// [`TestProgram::expected_responses`] contract — so the observed
-    /// stream keeps its lane-independent length and, for lanes outside
-    /// [`LaneRam::errored_lanes`], is bit-identical to the full pass.
-    /// (Frozen lanes' observations are unspecified in both modes:
-    /// compactors substitute the reference observation for them.)
-    ///
-    /// Execution summaries report the precompiled full-pass op/cycle
-    /// totals, and first-mismatch records keep their original op indices:
-    /// a skipped checked read cannot mismatch on an unfrozen lane.
-    ///
-    /// # Panics
-    ///
-    /// As [`TestProgram::execute_batch_observed`], plus when `index` was
-    /// not built for this program.
-    pub fn execute_batch_observed_sliced<const K: usize>(
-        &self,
-        ram: &mut LaneRam<K>,
-        index: &ActivityIndex,
-        active: &ActiveSet,
-        execs: &mut [Execution],
-        observer: &mut dyn FnMut(&[LaneChunk<K>]),
-    ) -> LaneChunk<K> {
-        self.try_execute_batch_observed_sliced(ram, index, active, execs, observer)
-            .unwrap_or_else(|e| self.panic_batch_config(e))
-    }
-
-    /// The fallible form of
-    /// [`TestProgram::execute_batch_observed_sliced`].
-    ///
-    /// # Errors
-    ///
-    /// As [`TestProgram::try_detect_batch`].
-    pub fn try_execute_batch_observed_sliced<const K: usize>(
-        &self,
-        ram: &mut LaneRam<K>,
-        index: &ActivityIndex,
-        active: &ActiveSet,
-        execs: &mut [Execution],
-        observer: &mut dyn FnMut(&[LaneChunk<K>]),
-    ) -> Result<LaneChunk<K>, RamError> {
-        self.check_batch_config(ram)?;
-        assert!(index.matches(self), "activity index was built for a different program");
-        assert_eq!(execs.len(), LaneRam::<K>::LANES, "one execution summary per lane");
-        let m = self.geom.width() as usize;
-        execs.fill(Execution::default());
-        let base_time = ram.op_time();
-        let sof = ram.has_sof();
-        let mut acc = [[LaneChunk::<K>::ZERO; Geometry::MAX_WIDTH as usize]; ACC_LANES];
-        let mut reads = [[LaneChunk::<K>::ZERO; Geometry::MAX_WIDTH as usize]; MAX_PORTS];
-        let mut detected = LaneChunk::<K>::ZERO;
-        let mut errored = LaneChunk::<K>::ZERO;
-        let mut ops = 0u64;
-        let mut cycles = 0u64;
-        let mut gap_planes = vec![LaneChunk::<K>::ZERO; m];
-        let mut emitted = 0u32;
-        let mut next = 0u32;
-        for &opi in active.ops() {
-            let j = opi as usize;
-            Self::emit_reference(
-                &index.responses,
-                emitted,
-                index.responses_before[j],
-                &mut gap_planes,
-                observer,
-            );
-            self.splice_gap(ram, index, active, base_time, sof, next..opi);
-            self.observed_step(
-                ram,
-                j,
-                &mut acc,
-                &mut reads,
-                &mut detected,
-                &mut errored,
-                &mut ops,
-                &mut cycles,
-                execs,
-                observer,
-            );
-            emitted = index.responses_before[j + 1];
-            next = opi + 1;
-        }
-        Self::emit_reference(
-            &index.responses,
-            emitted,
-            index.responses.len() as u32,
-            &mut gap_planes,
-            observer,
-        );
-        // Per-lane totals come from the precompiled full pass, not from
-        // the (shorter) sliced walk.
-        for (lane, e) in execs.iter_mut().enumerate() {
-            if errored.get(lane) {
-                *e = Execution::default();
-            } else {
-                e.ops = index.total_ops;
-                e.cycles = index.total_cycles;
-            }
-        }
-        Ok(detected & !errored & ram.active_lanes())
-    }
-
-    /// Feeds `observer` the broadcast reference response of every skipped
-    /// checked read in stream positions `[lo, hi)`.
-    fn emit_reference<const K: usize>(
-        responses: &[u64],
-        lo: u32,
-        hi: u32,
-        planes: &mut [LaneChunk<K>],
-        observer: &mut dyn FnMut(&[LaneChunk<K>]),
-    ) {
-        for &expect in &responses[lo as usize..hi as usize] {
-            for (j, plane) in planes.iter_mut().enumerate() {
-                *plane = LaneChunk::broadcast(expect, j as u32);
-            }
-            observer(planes);
-        }
-    }
-
-    /// Per-lane mismatch bookkeeping for one checked batch read: `diff`
-    /// holds the (unfrozen) lanes whose word differed from the broadcast
-    /// expectation; each gets its channel counter bumped and, for the
-    /// mismatch channel, its first mismatch recorded with the lane's own
-    /// de-sliced word.
-    fn book_lanes<const K: usize>(
-        execs: &mut [Execution],
-        diff: LaneChunk<K>,
-        planes: &[LaneChunk<K>],
-        stale: bool,
-        op_index: usize,
-        addr: usize,
-        expected: u64,
-    ) {
-        diff.for_each_lane(|lane| {
-            let e = &mut execs[lane];
-            if stale {
-                e.stale_errors += 1;
-            } else {
-                e.mismatches += 1;
-                if e.first_mismatch.is_none() {
-                    e.first_mismatch =
-                        Some(OpMismatch { op_index, addr, expected, got: lane_word(planes, lane) });
-                }
-            }
-        });
     }
 
     /// Runs the program and reports full channel counts. With
@@ -2032,7 +1814,6 @@ mod tests {
             b.write(a, 0);
         }
         let prog = b.build();
-        assert!(prog.lane_batchable());
         let mut faults = Vec::new();
         for cell in 0..8 {
             faults.push(FaultKind::StuckAt { cell, bit: 0, value: 0 });
@@ -2057,7 +1838,7 @@ mod tests {
         for (lane, fault) in faults.iter().enumerate() {
             lanes.inject(fault.clone(), lane).unwrap();
         }
-        let got = prog.detect_batch(&mut lanes);
+        let got = prog.detect_batch(&mut lanes, None);
         for (lane, fault) in faults.iter().enumerate() {
             let mut ram = Ram::new(geom);
             ram.inject(fault.clone()).unwrap();
@@ -2097,7 +1878,7 @@ mod tests {
         for (lane, fault) in faults.iter().enumerate() {
             lanes.inject(fault.clone(), lane).unwrap();
         }
-        let got = prog.detect_batch(&mut lanes);
+        let got = prog.detect_batch(&mut lanes, None);
         for (lane, fault) in faults.iter().enumerate() {
             let mut ram = Ram::new(geom);
             ram.inject(fault.clone()).unwrap();
@@ -2116,7 +1897,7 @@ mod tests {
         let prog = b.build();
         let mut lanes: crate::LaneRam = crate::LaneRam::new(Geometry::bom(4));
         lanes.inject(FaultKind::StuckAt { cell: 0, bit: 0, value: 0 }, 0).unwrap();
-        let _ = prog.detect_batch(&mut lanes);
+        let _ = prog.detect_batch(&mut lanes, None);
     }
 
     #[test]
@@ -2127,7 +1908,7 @@ mod tests {
         let prog = b.build();
         let mut lanes: crate::LaneRam = crate::LaneRam::new(Geometry::bom(4));
         let mut execs = [Execution::default(); crate::LANES];
-        let _ = prog.execute_batch_observed(&mut lanes, &mut execs, &mut |_| {});
+        let _ = prog.execute_batch_observed(&mut lanes, None, &mut execs, &mut |_| {});
     }
 
     #[test]
@@ -2173,7 +1954,7 @@ mod tests {
         }
         let mut execs = [Execution::default(); crate::LANES];
         let mut streams: Vec<Vec<u64>> = vec![Vec::new(); crate::LANES];
-        let flagged = prog.execute_batch_observed(&mut lanes, &mut execs, &mut |planes| {
+        let flagged = prog.execute_batch_observed(&mut lanes, None, &mut execs, &mut |planes| {
             for (lane, stream) in streams.iter_mut().enumerate() {
                 stream.push(crate::batch::lane_word(planes, lane));
             }
@@ -2237,7 +2018,6 @@ mod tests {
         // run for faults across the taxonomy, decoder families included.
         let geom = Geometry::bom(8);
         let prog = dual_port_march(geom);
-        assert!(prog.lane_batchable(), "multi-port programs batch since the CycleN arm landed");
         let faults = [
             FaultKind::StuckAt { cell: 5, bit: 0, value: 1 },
             FaultKind::StuckAt { cell: 1, bit: 0, value: 0 },
@@ -2258,7 +2038,7 @@ mod tests {
         }
         let mut execs = [Execution::default(); crate::LANES];
         let mut streams: Vec<Vec<u64>> = vec![Vec::new(); crate::LANES];
-        let flagged = prog.execute_batch_observed(&mut lanes, &mut execs, &mut |planes| {
+        let flagged = prog.execute_batch_observed(&mut lanes, None, &mut execs, &mut |planes| {
             for (lane, stream) in streams.iter_mut().enumerate() {
                 stream.push(crate::batch::lane_word(planes, lane));
             }
@@ -2280,7 +2060,7 @@ mod tests {
         for (i, fault) in faults.iter().enumerate() {
             lanes.inject(fault.clone(), lane_of(i)).unwrap();
         }
-        let got = prog.detect_batch(&mut lanes);
+        let got = prog.detect_batch(&mut lanes, None);
         for (i, fault) in faults.iter().enumerate() {
             let mut ram = Ram::with_ports(geom, 2).unwrap();
             ram.inject(fault.clone()).unwrap();
@@ -2306,7 +2086,7 @@ mod tests {
         let mut lanes = crate::LaneRam::<1>::with_ports(geom, 2).unwrap();
         lanes.inject(shadow.clone(), 9).unwrap();
         lanes.inject(stuck.clone(), 20).unwrap();
-        let got = prog.detect_batch(&mut lanes);
+        let got = prog.detect_batch(&mut lanes, None);
         let scalar = |fault: &FaultKind| {
             let mut ram = Ram::with_ports(geom, 2).unwrap();
             ram.inject(fault.clone()).unwrap();
@@ -2323,7 +2103,7 @@ mod tests {
         lanes.inject(shadow, 9).unwrap();
         lanes.inject(stuck, 20).unwrap();
         let mut execs = [Execution::default(); crate::LANES];
-        let flagged = prog.execute_batch_observed(&mut lanes, &mut execs, &mut |_| {});
+        let flagged = prog.execute_batch_observed(&mut lanes, None, &mut execs, &mut |_| {});
         assert!(!flagged.get(9));
         assert!(flagged.get(20));
         assert_eq!(execs[9], Execution::default());
@@ -2341,8 +2121,7 @@ mod tests {
         let mut b = ProgramBuilder::new(geom);
         b.cycle2(SlotOp::ReadExpect { addr: 0, expect: 0 }, SlotOp::Idle);
         let prog = b.build();
-        assert!(prog.lane_batchable());
-        let _ = prog.detect_batch::<1>(&mut crate::LaneRam::new(geom));
+        let _ = prog.detect_batch::<1>(&mut crate::LaneRam::new(geom), None);
     }
 
     #[test]

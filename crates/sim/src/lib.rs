@@ -167,16 +167,6 @@ impl LaneWidth {
             LaneWidth::X512 => LaneRam::<8>::LANES,
         }
     }
-
-    /// The short schema label bench writers record (`"64"`, `"256"`,
-    /// `"512"`).
-    pub fn label(self) -> &'static str {
-        match self {
-            LaneWidth::X64 => "64",
-            LaneWidth::X256 => "256",
-            LaneWidth::X512 => "512",
-        }
-    }
 }
 
 /// How a campaign distributes its trials.
@@ -1579,16 +1569,17 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
                             }
                             ram.reset_to(0);
                         }
-                        detected |= match pass {
+                        let slice = match pass {
                             Pass::Sliced(indexes) | Pass::Auto(indexes) if !full_pass => {
                                 // The union only grows across backgrounds
                                 // (finalize adds each program's forced
                                 // cells); a superset union stays exact.
                                 active.finalize(&indexes[bi]);
-                                program.detect_batch_sliced(ram, &indexes[bi], active)
+                                Some((&*indexes[bi], &*active))
                             }
-                            _ => program.detect_batch(ram),
+                            _ => None,
                         };
+                        detected |= program.detect_batch(ram, slice);
                     }
                     Some(detected)
                 }));
@@ -1617,9 +1608,8 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     /// The compiled programs (one per background) to batch with, when the
     /// campaign is eligible: batching enabled and every background
     /// resolves to a program on this geometry. Multi-port programs are
-    /// no longer special-cased — the batch interpreter runs `CycleN`
-    /// schedules natively; [`TestProgram::lane_batchable`] is consulted
-    /// only as the opt-out seam (always `true` today).
+    /// not special-cased — the batch interpreter runs `CycleN` schedules
+    /// natively.
     fn batch_plan(&self) -> Option<Vec<&TestProgram>> {
         if !self.lane_batching {
             return None;
@@ -1631,7 +1621,7 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
             .collect::<Option<_>>()?;
         // Geometry mismatches fall through to the scalar path, which
         // surfaces them with its usual loud panic.
-        programs.iter().all(|p| p.lane_batchable() && p.geometry() == self.geom).then_some(programs)
+        programs.iter().all(|p| p.geometry() == self.geom).then_some(programs)
     }
 
     /// The seed's original inner loop — a fresh [`Ram`] allocated per
@@ -2144,7 +2134,7 @@ mod tests {
                 u.faults(),
                 Parallelism::Threads(threads),
                 |lanes: &mut LaneRam, out: &mut Vec<bool>| {
-                    let verdicts = prog.detect_batch(lanes);
+                    let verdicts = prog.detect_batch(lanes, None);
                     for lane in 0..lanes.active_lanes().count_ones() as usize {
                         out.push(verdicts.get(lane));
                     }

@@ -188,7 +188,7 @@ proptest! {
         ) {
             let mut lanes = LaneRam::<K>::new(program.geometry());
             lanes.inject(fault.clone(), lane).expect("inject");
-            let got = program.detect_batch(&mut lanes);
+            let got = program.detect_batch(&mut lanes, None);
             assert_eq!(got.get(lane), want, "{fault} in lane {lane} (K={K})");
             assert_eq!(
                 got & !LaneChunk::single(lane),
@@ -387,7 +387,7 @@ fn geometry_mismatched_detect_batch_is_loud() {
     let program = Executor::new().compile(&march_library::march_c_minus(), Geometry::bom(16));
     let mut lanes: LaneRam = LaneRam::new(Geometry::bom(8));
     lanes.inject(FaultKind::StuckAt { cell: 0, bit: 0, value: 0 }, 0).expect("inject");
-    let _ = program.detect_batch(&mut lanes);
+    let _ = program.detect_batch(&mut lanes, None);
 }
 
 /// BATCHED DICTIONARY ≡ SCALAR DICTIONARY: a `FaultDictionary` built on
