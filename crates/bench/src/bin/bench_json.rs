@@ -260,9 +260,10 @@ fn main() {
         }
         // The same sweep under a bit-reversal scramble: the universe is
         // enumerated over physical coordinates and mapped back to
-        // logical addresses, so the fault list arrives scattered and the
-        // slicer's locality re-grouping is what keeps `scrambled_sliced_*`
-        // near the identity rows (gated in CI at 1.3×).
+        // logical addresses, so the fault list arrives scattered. Chunks
+        // are cut in universe order, and a bijective scramble leaves each
+        // chunk's count of distinct cells unchanged, which keeps
+        // `scrambled_sliced_*` near the identity rows (gated in CI at 1.3×).
         let topology = Topology::identity(n)
             .then_swizzle(Scrambler::reversed(n.trailing_zeros()))
             .expect("1 Kib bit-reversal");

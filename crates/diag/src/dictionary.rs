@@ -5,10 +5,12 @@
 //! The classical answer is a **fault dictionary**: simulate every fault of
 //! the universe once at configuration time, record each one's signature,
 //! and invert the map. This module builds that dictionary on `prt-sim`'s
-//! pooled parallel engine ([`prt_sim::map_trials`] — one compiled-program
-//! interpreter pass plus one MISR per trial, no per-trial allocation
-//! beyond the observation record), and measures what analytic formulas
-//! only bound:
+//! pooled parallel engine, lane-batched
+//! ([`prt_sim::try_map_trials_batched`] — one compiled-program
+//! interpreter pass per 512-fault lane chunk plus one MISR per lane, no
+//! per-trial allocation beyond the observation record; the scalar
+//! [`prt_sim::try_map_trials`] is the oracle build), and measures what
+//! analytic formulas only bound:
 //!
 //! * **aliasing** — faults whose response stream differs from the
 //!   fault-free one but whose compacted signature collides with the
@@ -302,7 +304,7 @@ impl FaultDictionary {
     ///
     /// Every program — single- or multi-port — runs **lane-batched**: one
     /// interpreter pass simulates a whole lane chunk of trials
-    /// ([`prt_sim::map_trials_batched`] +
+    /// ([`prt_sim::try_map_trials_batched`] +
     /// [`SignatureCollector::collect_batch`] at the default
     /// [`prt_sim::LaneWidth`]), with per-fault signatures and statistics identical
     /// to the scalar build ([`FaultDictionary::build_with_batching`] pins

@@ -200,7 +200,7 @@ impl SignatureCollector {
 
     /// The lane-batched form of [`SignatureCollector::collect`]: runs
     /// `program` once against every trial of a prepared [`LaneRam`]
-    /// (lanes `0..k` injected, as `prt_sim::map_trials_batched` hands it
+    /// (lanes `0..k` injected, as `prt_sim::try_map_trials_batched` hands it
     /// over) and pushes one [`Observation`] per lane, in lane order. One
     /// MISR per lane absorbs that lane's slice of the observed planes, so
     /// each signature — and each execution summary — is **identical** to

@@ -1155,9 +1155,10 @@ impl TestProgram {
 }
 
 /// Applies a precompiled GF(2)-linear map: XOR of the per-bit masks over
-/// the set bits of `v`.
+/// the set bits of `v`. The interpreters and the activity index's
+/// fault-free reference replay share this one copy.
 #[inline]
-fn apply_map(masks: &[u64], v: u64) -> u64 {
+pub(crate) fn apply_map(masks: &[u64], v: u64) -> u64 {
     let mut out = 0u64;
     let mut rest = v;
     while rest != 0 {

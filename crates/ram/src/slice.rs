@@ -42,7 +42,7 @@
 //! program's ops active, the full pass wins.
 
 use crate::fault::FaultKind;
-use crate::prog::{MemOp, SlotOp, TestProgram, ACC_LANES};
+use crate::prog::{apply_map, MemOp, SlotOp, TestProgram, ACC_LANES};
 use crate::{Geometry, MAX_PORTS};
 
 /// Sentinel op index for "no read has been issued on this port yet".
@@ -101,29 +101,15 @@ pub fn fault_cells(fault: &FaultKind, mut visit: impl FnMut(usize)) {
     }
 }
 
-/// The locality sort key for chunk assembly: the smallest cell of the
-/// fault's span. Campaign engines sort a segment's faults by this key so
-/// the faults sharing a lane chunk have tight span unions (coupling
-/// faults group by their aggressor/victim window) — verdicts are keyed
-/// by fault index, so reports and checkpoints are unaffected by the
-/// assembly order.
+/// The locality key of a fault: the smallest cell of its span. Campaign
+/// engines count the distinct keys per lane chunk of a schedule to
+/// estimate how many span cells — and so how many active ops — a sliced
+/// chunk of a given width would run, and pick the sliced lane width from
+/// that estimate.
 pub fn fault_locality_key(fault: &FaultKind) -> usize {
     let mut min = usize::MAX;
     fault_cells(fault, &mut |c| min = min.min(c));
     min
-}
-
-/// XOR of `masks[j]` over the set bits `j` of `value` — the de-sliced
-/// form of the interpreter's per-bit-plane GF(2)-linear map application.
-fn apply_map(masks: &[u64], value: u64) -> u64 {
-    let mut out = 0;
-    let mut v = value;
-    while v != 0 {
-        let j = v.trailing_zeros() as usize;
-        out ^= masks[j];
-        v &= v - 1;
-    }
-    out
 }
 
 /// Appends `opi` to `addr`'s op list unless it is already the last entry

@@ -497,24 +497,29 @@ fn detect_checked(program: &TestProgram, ram: &mut Ram, background: u64) -> bool
 /// ```
 #[derive(Debug, Clone)]
 pub struct ProgramBank {
-    programs: Vec<(u64, TestProgram)>,
+    programs: Vec<(u64, Arc<TestProgram>)>,
 }
 
 impl ProgramBank {
-    /// Builds a bank from `(background, program)` pairs.
+    /// Builds a bank from `(background, program)` pairs. Programs are
+    /// owned or `Arc`-shared (a compiled-program cache hands out `Arc`s,
+    /// so every job drives the identical compiled artifact).
     ///
     /// # Panics
     ///
     /// Panics on an empty collection.
-    pub fn new(programs: impl IntoIterator<Item = (u64, TestProgram)>) -> ProgramBank {
-        let programs: Vec<(u64, TestProgram)> = programs.into_iter().collect();
+    pub fn new<P: Into<Arc<TestProgram>>>(
+        programs: impl IntoIterator<Item = (u64, P)>,
+    ) -> ProgramBank {
+        let programs: Vec<(u64, Arc<TestProgram>)> =
+            programs.into_iter().map(|(bg, p)| (bg, p.into())).collect();
         assert!(!programs.is_empty(), "program bank needs at least one program");
         ProgramBank { programs }
     }
 
     /// A bank holding a single program (background 0).
-    pub fn single(program: TestProgram) -> ProgramBank {
-        ProgramBank { programs: vec![(0, program)] }
+    pub fn single(program: impl Into<Arc<TestProgram>>) -> ProgramBank {
+        ProgramBank { programs: vec![(0, program.into())] }
     }
 
     /// The backgrounds this bank was compiled for, in insertion order —
@@ -525,7 +530,7 @@ impl ProgramBank {
 
     /// The program compiled for `background` (`None` if absent).
     pub fn program(&self, background: u64) -> Option<&TestProgram> {
-        self.programs.iter().find(|&&(bg, _)| bg == background).map(|(_, p)| p)
+        self.programs.iter().find(|(bg, _)| *bg == background).map(|(_, p)| &**p)
     }
 }
 
@@ -578,8 +583,8 @@ impl FaultRunner for &ProgramBank {
 /// mode that per-fault *measurements* (MISR signatures for fault
 /// dictionaries, observed response streams, per-trial statistics) build
 /// on, as well as plain verdict bits (`T = bool`). See
-/// [`map_trials_batched`] for the lane-sliced form measurement campaigns
-/// over an explicit fault list use.
+/// [`try_map_trials_batched`] for the lane-sliced form measurement
+/// campaigns over an explicit fault list use.
 ///
 /// This is the engine's lowest-level primitive (Monte-Carlo campaigns use
 /// it directly; [`Campaign`] builds fault-universe sweeps on top). Each
@@ -682,43 +687,17 @@ fn validate_ports(geom: Geometry, ports: usize) -> Result<(), CampaignError> {
 /// memory with the fault **already injected** (unlike the raw
 /// [`map_trials`], which hands the closure a pristine device).
 ///
-/// # Panics
-///
-/// Re-raises whatever [`try_map_trials_batched`] reports: an invalid
-/// port count or a wrong `batch_trial` result count panics with its
-/// configuration message (containing the historical "one result per
-/// injected lane" phrase), a caught scalar panic resumes with its
-/// original payload. A *batch* panic does not surface here at all — it
-/// degrades to the scalar oracle (see the fallible form).
-pub fn map_trials_batched<const K: usize, T, FB, FS>(
-    geom: Geometry,
-    ports: usize,
-    faults: &[FaultKind],
-    parallelism: Parallelism,
-    batch_trial: FB,
-    scalar_trial: FS,
-) -> Vec<T>
-where
-    T: Send + Sync,
-    FB: Fn(&mut LaneRam<K>, &mut Vec<T>) + Sync,
-    FS: Fn(usize, &mut Ram) -> T + Sync,
-{
-    try_map_trials_batched(geom, ports, faults, parallelism, batch_trial, scalar_trial)
-        .unwrap_or_else(|e| e.raise())
-        .0
-}
-
-/// The fallible form of [`map_trials_batched`]. Returns the per-fault
-/// results plus the number of **degraded batches**: a lane batch whose
-/// `batch_trial` panicked is retried fault-by-fault on the scalar oracle
-/// (`scalar_trial`) instead of killing the run, and counted. Because the
-/// scalar trial measures the same thing (the contract callers are
-/// property-tested against), a degraded run's results are still exact.
+/// Returns the per-fault results plus the number of **degraded
+/// batches**: a lane batch whose `batch_trial` panicked is retried
+/// fault-by-fault on `scalar_trial` instead of killing the run, and
+/// counted. Because the scalar trial measures the same thing, a degraded
+/// run's results are still exact.
 ///
 /// # Errors
 ///
 /// [`CampaignError::BadConfiguration`] for an invalid port count or a
-/// `batch_trial` yielding a wrong result count;
+/// `batch_trial` yielding a wrong result count (its reason contains "one
+/// result per injected lane");
 /// [`CampaignError::WorkerPanic`] when a *scalar* trial panicked
 /// (including a degraded retry — a batch that fails both engines is a
 /// real failure, not a batching artifact).
@@ -986,14 +965,13 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     /// A sliced pass walks only the program ops whose address intersects
     /// the batch's span union — the cells its faults can actually
     /// perturb — and splices precomputed fault-free reference deltas over
-    /// the gaps ([`prt_ram::ActivityIndex`]). Forced slicing also
-    /// assembles batches by fault locality
-    /// ([`prt_ram::fault_locality_key`]); the automatic engine keeps
-    /// universe order, whose family-by-family batches exit earlier.
-    /// Verdicts, reports and checkpoints are **bit-identical** in every
-    /// mode (the engine, like the lane width, is deliberately not
-    /// fingerprinted); the forced modes are the oracles for measurement
-    /// and differential testing.
+    /// the gaps ([`prt_ram::ActivityIndex`]). Every setting walks the
+    /// universe in order; forced slicing slices every batch at the width
+    /// the span-overlap model picks, exactly as the automatic engine
+    /// slices the batches it sets aside. Verdicts, reports and
+    /// checkpoints are **bit-identical** in every mode (the engine, like
+    /// the lane width, is deliberately not fingerprinted); the forced
+    /// modes are the oracles for measurement and differential testing.
     pub fn with_slicing(mut self, enabled: bool) -> Campaign<'a, R> {
         self.slicing = Some(enabled);
         self
@@ -1337,24 +1315,6 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         fp.finish()
     }
 
-    /// Sorts `trials` (universe indices) into `(locality key, index)`
-    /// order ([`prt_ram::fault_locality_key`]) for the forced sliced pass,
-    /// so the faults sharing a lane batch have tight span unions
-    /// (coupling faults group by their aggressor/victim window, and a
-    /// scrambled universe regroups by logical cell). Verdicts stay keyed
-    /// by fault index, so the permutation never reaches reports or
-    /// checkpoints.
-    fn locality_order(&self, trials: Vec<u32>) -> Vec<u32> {
-        let mut keyed: Vec<(usize, u32)> =
-            trials.into_iter().map(|i| (fault_locality_key(&self.faults[i as usize]), i)).collect();
-        // One key computation per fault, then a primitive-tuple sort
-        // (re-deriving the key inside a comparator dominates the sort).
-        if !keyed.is_sorted() {
-            keyed.sort_unstable();
-        }
-        keyed.into_iter().map(|(_, i)| i).collect()
-    }
-
     /// The lane width to slice `trials` (in schedule order) at: the
     /// cheapest of the widths not exceeding the configured knob, under
     /// the span-overlap cost model. A sliced batch executes one op per
@@ -1420,23 +1380,24 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     }
 
     /// Lane-batched evaluation of the universe indices `segment` under
-    /// `pass`. The full pass takes batches in universe order at the
-    /// configured width. The forced sliced pass first regroups the
-    /// segment by locality ([`Campaign::locality_order`]). The auto engine
-    /// walks the universe-order batches at the configured width and
-    /// applies [`ActiveSet::prefers_full_pass`] to each: a dense batch
-    /// runs the full pass where it stands, a sparse one is set aside. The
-    /// set-aside faults, still in universe order, are then sliced at the
-    /// width the span-overlap model picks ([`Campaign::sliced_width`]),
-    /// each narrower batch re-checked by the same rule.
+    /// `pass`. Every setting walks the segment in universe order and
+    /// differs only in which pass each chunk gets. The full pass takes
+    /// the chunks at the configured width. The forced sliced pass slices
+    /// them at the width the span-overlap model picks
+    /// ([`Campaign::sliced_width`]). The auto engine walks the chunks at
+    /// the configured width and applies [`ActiveSet::prefers_full_pass`]
+    /// to each: a dense chunk runs the full pass where it stands, a
+    /// sparse one is set aside. The set-aside faults, still in universe
+    /// order, are then sliced like the forced sliced pass, each narrower
+    /// chunk re-checked by the same rule.
     ///
-    /// Auto keeps universe order on purpose: an enumerated universe
-    /// arrives family by family, so a batch's faults tend to be detected
-    /// together and its pass — full or sliced — exits early. Locality
-    /// regrouping mixes families, so nearly every batch holds a late or
+    /// Universe order is deliberate: an enumerated universe arrives
+    /// family by family, so a chunk's faults tend to be detected
+    /// together and its pass — full or sliced — exits early. Regrouping
+    /// by locality mixes families, so nearly every chunk holds a late or
     /// escaping fault and runs to the end: measured on March C- with
-    /// radius-1 couplings, sliced batches in locality order took 2.6×
-    /// (BOM n=1024) to 2.9× (n=8192) the time of sliced batches in
+    /// radius-1 couplings, sliced chunks in locality order took 2.6×
+    /// (BOM n=1024) to 2.9× (n=8192) the time of sliced chunks in
     /// universe order.
     fn drive_segment_batched(
         &self,
@@ -1450,7 +1411,7 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
             Pass::Full => {
                 return self.drive_batches(self.lane_width, &trials, programs, pass, ctx, None)
             }
-            Pass::Sliced(_) => self.locality_order(trials),
+            Pass::Sliced(_) => trials,
             Pass::Auto(_) => {
                 let set_aside = Mutex::new(Vec::new());
                 let outcome = self.drive_batches(
@@ -2128,7 +2089,7 @@ mod tests {
                 prog.detect(ram)
             });
         for threads in [1usize, 3, 7] {
-            let batched = map_trials_batched(
+            let (batched, degraded) = try_map_trials_batched(
                 u.geometry(),
                 1,
                 u.faults(),
@@ -2140,22 +2101,29 @@ mod tests {
                     }
                 },
                 |_, ram| prog.detect(ram),
-            );
+            )
+            .expect("valid configuration");
             assert_eq!(scalar, batched, "threads={threads}");
+            assert_eq!(degraded, 0, "threads={threads}");
         }
     }
 
     #[test]
-    #[should_panic(expected = "one result per injected lane")]
     fn map_trials_batched_rejects_wrong_result_count() {
         let u = FaultUniverse::enumerate(Geometry::bom(4), &UniverseSpec::single_cell());
-        let _ = map_trials_batched(
+        let err = try_map_trials_batched(
             u.geometry(),
             1,
             u.faults(),
             Parallelism::Sequential,
             |_lanes: &mut LaneRam, out: &mut Vec<bool>| out.push(true), // too few
             |_, _| true,
+        )
+        .expect_err("a short batch result is a configuration error");
+        assert!(
+            matches!(&err, CampaignError::BadConfiguration { reason }
+                if reason.contains("one result per injected lane")),
+            "got {err:?}"
         );
     }
 

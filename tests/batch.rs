@@ -7,60 +7,23 @@
 //! model landed — any lane position and any thread count; and the
 //! batched `map_trials` measurement mode must reproduce the scalar
 //! per-fault MISR signatures exactly. The scalar path is the oracle —
-//! these are the acceptance tests of the lane-sliced refactor.
+//! these are the acceptance tests of the lane-sliced refactor. The
+//! sweeps run on the shared differential harness (`tests/common/`).
 
+mod common;
+
+use common::compare::{
+    assert_engines_agree, assert_observations_agree, assert_reproduces, Outcome,
+};
+use common::engines::{matrix, test_threads, Engine, Setting, WIDTHS};
+use common::programs::{march, march_bank, march_observed, march_test, pi, pi_test, plane, scheme};
+use common::universes::{geometry, mixed};
 use proptest::prelude::*;
 use prt_suite::prelude::*;
 
-fn gf16() -> Field {
-    Field::new(4, 0b1_0011).expect("GF(16)")
-}
-
-/// The mixed universe every campaign property sweeps: **every** modelled
-/// family — SAF/TF/CFin/CFid/CFst (intra-word included on WOM) plus AF,
-/// SOF and the read/write-logic families. All of it batches now; the
-/// sweep proves the per-lane decoder/sense/read-logic models against the
-/// scalar oracle.
-fn mixed_universe(geom: Geometry) -> FaultUniverse {
-    let spec = UniverseSpec {
-        coupling_radius: Some(2),
-        intra_word: geom.width() > 1,
-        ..UniverseSpec::full()
-    };
-    FaultUniverse::enumerate(geom, &spec)
-}
-
-/// Thread count for the batch differential sweeps: `PRT_TEST_THREADS`
-/// overrides the proptest-chosen count, so CI pins every sweep to a fixed
-/// multi-worker configuration (the thread-count-invariance guard).
-fn test_threads(chosen: usize) -> usize {
-    std::env::var("PRT_TEST_THREADS").ok().and_then(|s| s.parse().ok()).unwrap_or(chosen)
-}
-
-/// Batched (given thread count) vs scalar-sequential verdicts of the same
-/// campaign must be identical.
-fn assert_batch_equals_scalar(universe: &FaultUniverse, program: &TestProgram, threads: usize) {
-    let threads = test_threads(threads);
-    let backgrounds = [program.background().unwrap_or(0)];
-    let scalar = Campaign::new(universe, program)
-        .with_backgrounds(&backgrounds)
-        .with_lane_batching(false)
-        .with_parallelism(Parallelism::Sequential)
-        .detections();
-    let batched = Campaign::new(universe, program)
-        .with_backgrounds(&backgrounds)
-        .with_parallelism(Parallelism::Threads(threads))
-        .detections();
-    for (i, (s, b)) in scalar.iter().zip(&batched).enumerate() {
-        assert_eq!(
-            s,
-            b,
-            "{}: verdict diverged on {} (threads={})",
-            program.name(),
-            universe.faults()[i],
-            threads
-        );
-    }
+/// The default engine at the default width on `threads` workers.
+fn auto(threads: usize) -> Vec<Setting> {
+    matrix(&[Engine::Auto], &[LaneWidth::X512], &[test_threads(threads)])
 }
 
 proptest! {
@@ -77,14 +40,8 @@ proptest! {
         wom in any::<bool>(),
         threads in 1usize..5,
     ) {
-        let geom = if wom { Geometry::wom(n, 4).expect("geometry") } else { Geometry::bom(n) };
-        let bg = bg & geom.data_mask();
-        let u = mixed_universe(geom);
-        let tests = march_library::all();
-        let test = &tests[test_idx % tests.len()];
-        let ex = Executor::new().with_background(bg).stop_at_first_mismatch();
-        let program = ex.compile(test, geom);
-        assert_batch_equals_scalar(&u, &program, threads);
+        let geom = geometry(n, wom);
+        assert_engines_agree(&mixed(geom, None), &march(&march_test(test_idx), geom, bg), &auto(threads));
     }
 
     /// BATCH ≡ SCALAR (March, multi-background WOM): the `ProgramBank`
@@ -95,24 +52,8 @@ proptest! {
         n in 2usize..10,
         threads in 1usize..5,
     ) {
-        let geom = Geometry::wom(n, 4).expect("geometry");
-        let u = mixed_universe(geom);
-        let tests = march_library::all();
-        let test = &tests[test_idx % tests.len()];
-        let ex = Executor::new().stop_at_first_mismatch();
-        let bgs = prt_march::coverage::standard_backgrounds(4);
-        let bank = prt_march::coverage::compile_bank(test, geom, &ex, &bgs);
-        let threads = test_threads(threads);
-        let scalar = Campaign::new(&u, &bank)
-            .with_backgrounds(&bgs)
-            .with_lane_batching(false)
-            .with_parallelism(Parallelism::Sequential)
-            .detections();
-        let batched = Campaign::new(&u, &bank)
-            .with_backgrounds(&bgs)
-            .with_parallelism(Parallelism::Threads(threads))
-            .detections();
-        prop_assert_eq!(scalar, batched, "{} n={}", test.name(), n);
+        let geom = geometry(n, true);
+        assert_engines_agree(&mixed(geom, None), &march_bank(&march_test(test_idx), geom), &auto(threads));
     }
 
     /// BATCH ≡ SCALAR (π-test): random seeds and sizes; the compiled π
@@ -125,11 +66,8 @@ proptest! {
         n in 3usize..14,
         threads in 1usize..5,
     ) {
-        let pi = PiTest::new(gf16(), &[1, 2, 2], &[s0, s1]).expect("config");
-        let geom = Geometry::wom(n, 4).expect("geometry");
-        let u = mixed_universe(geom);
-        let program = pi.compile(geom).expect("compile");
-        assert_batch_equals_scalar(&u, &program, threads);
+        let geom = geometry(n, true);
+        assert_engines_agree(&mixed(geom, None), &pi(s0, s1, geom, 1), &auto(threads));
     }
 
     /// BATCH ≡ SCALAR (PRT schemes): the flat scheme program including
@@ -140,17 +78,8 @@ proptest! {
         n in 3usize..14,
         threads in 1usize..5,
     ) {
-        let field = Field::new(1, 0b11).expect("GF(2)");
-        let scheme = match which {
-            0 => PrtScheme::standard3(field).expect("scheme"),
-            1 => PrtScheme::standard4(field).expect("scheme"),
-            2 => PrtScheme::plain(field, 3).expect("scheme"),
-            _ => PrtScheme::plain(field, 5).expect("scheme"),
-        };
-        let geom = Geometry::bom(n);
-        let u = mixed_universe(geom);
-        let program = scheme.compile(geom).expect("compile");
-        assert_batch_equals_scalar(&u, &program, threads);
+        let geom = geometry(n, false);
+        assert_engines_agree(&mixed(geom, None), &scheme(which, geom), &auto(threads));
     }
 
     /// BATCH ≡ SCALAR (bit-plane schemes): multi-round GF(2) plane
@@ -161,11 +90,8 @@ proptest! {
         n in 3usize..10,
         threads in 1usize..5,
     ) {
-        let scheme = PlaneScheme::standard(Poly2::from_bits(0b111), 4, rounds).expect("scheme");
-        let geom = Geometry::wom(n, 4).expect("geometry");
-        let u = mixed_universe(geom);
-        let program = scheme.compile(geom).expect("compile");
-        assert_batch_equals_scalar(&u, &program, threads);
+        let geom = geometry(n, true);
+        assert_engines_agree(&mixed(geom, None), &plane(rounds, geom), &auto(threads));
     }
 
     /// Any lane position, any chunk width: a single batchable fault placed
@@ -196,18 +122,17 @@ proptest! {
                 "inactive lanes must stay silent (K={K})"
             );
         }
-        let geom = Geometry::wom(n, 4).expect("geometry");
+        let geom = geometry(n, true);
         // Every modelled family lane-batches: the whole universe is the pool.
-        let batchable: Vec<FaultKind> = mixed_universe(geom).faults().to_vec();
+        let batchable: Vec<FaultKind> = mixed(geom, None).faults().to_vec();
         let fault = batchable[fault_pick % batchable.len()].clone();
-        let tests = march_library::all();
-        let test = &tests[test_idx % tests.len()];
-        let program = Executor::new().stop_at_first_mismatch().compile(test, geom);
+        let subject = march(&march_test(test_idx), geom, 0);
+        let program = subject.program();
         let mut scalar = Ram::new(geom);
         scalar.inject(fault.clone()).expect("inject");
         let want = program.detect(&mut scalar);
-        check_at::<1>(&program, &fault, lane, want);
-        check_at::<8>(&program, &fault, lane + 7 * LANES, want);
+        check_at::<1>(program, &fault, lane, want);
+        check_at::<8>(program, &fault, lane + 7 * LANES, want);
     }
 
     /// WIDTH INVARIANCE: the campaign verdict table is bit-identical at
@@ -220,35 +145,18 @@ proptest! {
         wom in any::<bool>(),
         threads in 1usize..5,
     ) {
-        let geom = if wom { Geometry::wom(n, 4).expect("geometry") } else { Geometry::bom(n) };
-        let u = mixed_universe(geom);
-        let tests = march_library::all();
-        let test = &tests[test_idx % tests.len()];
-        let program = Executor::new().stop_at_first_mismatch().compile(test, geom);
-        let scalar = Campaign::new(&u, &program)
-            .with_lane_batching(false)
-            .with_parallelism(Parallelism::Sequential)
-            .detections();
-        let threads = test_threads(threads);
-        for width in [LaneWidth::X64, LaneWidth::X256, LaneWidth::X512] {
-            let batched = Campaign::new(&u, &program)
-                .with_lane_width(width)
-                .with_parallelism(Parallelism::Threads(threads))
-                .detections();
-            prop_assert_eq!(
-                &scalar, &batched,
-                "{} lanes={} threads={}", test.name(), width.lanes(), threads
-            );
-        }
+        let geom = geometry(n, wom);
+        let settings = matrix(&[Engine::Auto], &WIDTHS, &[test_threads(threads)]);
+        assert_engines_agree(&mixed(geom, None), &march(&march_test(test_idx), geom, 0), &settings);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// BATCHED MEASUREMENT ≡ SCALAR MEASUREMENT: `map_trials_batched`
-    /// signature collection must reproduce, per fault index, the exact
-    /// MISR signature and execution summary the scalar `collect` path
+    /// BATCHED MEASUREMENT ≡ SCALAR MEASUREMENT: lane-batched signature
+    /// collection must reproduce, per fault index, the exact MISR
+    /// signature and execution summary the scalar `collect` path
     /// measures — for random March programs, sizes and thread counts, at
     /// every lane-chunk width.
     #[test]
@@ -257,48 +165,10 @@ proptest! {
         n in 2usize..10,
         threads in 1usize..5,
     ) {
-        fn batched_at<const K: usize>(
-            geom: Geometry,
-            u: &FaultUniverse,
-            collector: &SignatureCollector,
-            program: &TestProgram,
-            threads: usize,
-        ) -> Vec<Observation> {
-            prt_sim::map_trials_batched::<K, _, _, _>(
-                geom,
-                1,
-                u.faults(),
-                Parallelism::Threads(threads),
-                |lanes, out| collector.collect_batch(program, lanes, out),
-                |_, ram| collector.collect(program, ram).expect("single-port run"),
-            )
-        }
-        let geom = Geometry::bom(n);
-        let u = mixed_universe(geom);
-        let tests = march_library::all();
-        let test = &tests[test_idx % tests.len()];
-        let program = Executor::new().compile(test, geom);
-        let collector = SignatureCollector::new(&program, Poly2::from_bits(0b1_0001_1011))
-            .expect("collector");
-        let threads = test_threads(threads);
-        let scalar: Vec<Observation> =
-            prt_sim::map_trials(geom, 1, u.len(), Parallelism::Sequential, |i, ram| {
-                ram.inject(u.faults()[i].clone()).expect("valid");
-                collector.collect(&program, ram).expect("single-port run")
-            });
-        for (lanes, batched) in [
-            (64usize, batched_at::<1>(geom, &u, &collector, &program, threads)),
-            (256, batched_at::<4>(geom, &u, &collector, &program, threads)),
-            (512, batched_at::<8>(geom, &u, &collector, &program, threads)),
-        ] {
-            for (i, (s, b)) in scalar.iter().zip(&batched).enumerate() {
-                prop_assert_eq!(
-                    s, b,
-                    "{}: observation diverged on {} (lanes={}, threads={})",
-                    test.name(), &u.faults()[i], lanes, threads
-                );
-            }
-        }
+        let geom = geometry(n, false);
+        let program = march_observed(&march_test(test_idx), geom);
+        let settings = matrix(&[Engine::Auto], &WIDTHS, &[test_threads(threads)]);
+        assert_observations_agree(&mixed(geom, None), &program, &settings);
     }
 }
 
@@ -311,55 +181,28 @@ proptest! {
 /// scalar remainder.
 #[test]
 fn multi_port_batch_matches_interpreted_oracle() {
-    let pi = PiTest::new(gf16(), &[1, 2, 2], &[3, 7]).expect("config");
-    let geom = Geometry::wom(12, 4).expect("geometry");
-    let u = mixed_universe(geom);
-
-    let dual = pi.compile_dual_port(geom, None).expect("compile dual");
-    let dual_oracle: Vec<bool> = u
-        .faults()
-        .iter()
-        .map(|f| {
-            let mut ram = Ram::with_ports(geom, 2).expect("ports");
-            ram.inject(f.clone()).expect("inject");
-            pi.run_dual_port(&mut ram).map(|r| r.detected()).unwrap_or(false)
-        })
-        .collect();
-    let quad = pi.compile_quad_port(geom).expect("compile quad");
-    let quad_oracle: Vec<bool> = u
-        .faults()
-        .iter()
-        .map(|f| {
-            let mut ram = Ram::with_ports(geom, 4).expect("ports");
-            ram.inject(f.clone()).expect("inject");
-            pi.run_quad_port(&mut ram).map(|r| r.detected()).unwrap_or(false)
-        })
-        .collect();
-    for threads in [1usize, 4] {
-        for width in [LaneWidth::X64, LaneWidth::X512] {
-            let got = Campaign::over(geom, u.faults(), &dual)
-                .with_ports(2)
-                .with_lane_width(width)
-                .with_parallelism(Parallelism::Threads(threads))
-                .detections();
-            assert_eq!(
-                dual_oracle,
-                got,
-                "dual-port verdicts diverged (lanes={}, threads={threads})",
-                width.lanes()
-            );
-            let got = Campaign::over(geom, u.faults(), &quad)
-                .with_ports(4)
-                .with_lane_width(width)
-                .with_parallelism(Parallelism::Threads(threads))
-                .detections();
-            assert_eq!(
-                quad_oracle,
-                got,
-                "quad-port verdicts diverged (lanes={}, threads={threads})",
-                width.lanes()
-            );
-        }
+    let (s0, s1) = (3, 7);
+    let interpreted = pi_test(s0, s1);
+    let geom = geometry(12, true);
+    let u = mixed(geom, None);
+    let settings = matrix(&[Engine::Auto], &[LaneWidth::X64, LaneWidth::X512], &[1, 4]);
+    for ports in [2, 4] {
+        let subject = pi(s0, s1, geom, ports);
+        let verdicts = u
+            .faults()
+            .iter()
+            .map(|f| {
+                let mut ram = Ram::with_ports(geom, ports).expect("ports");
+                ram.inject(f.clone()).expect("inject");
+                let result = match ports {
+                    2 => interpreted.run_dual_port(&mut ram),
+                    _ => interpreted.run_quad_port(&mut ram),
+                };
+                result.map(|r| r.detected()).unwrap_or(false)
+            })
+            .collect();
+        let oracle = Outcome::from_verdicts(subject.name(), u.faults(), verdicts);
+        assert_reproduces(&u, &subject, &settings, &oracle);
     }
 }
 
@@ -369,7 +212,7 @@ fn multi_port_batch_matches_interpreted_oracle() {
 /// regression test is what proves the property it used to gate.)
 #[test]
 fn full_universe_is_entirely_batchable() {
-    let u = mixed_universe(Geometry::wom(6, 4).expect("geometry"));
+    let u = mixed(geometry(6, true), None);
     for chunk in u.faults().chunks(LANES) {
         let mut lanes: LaneRam = LaneRam::new(u.geometry());
         for (lane, fault) in chunk.iter().enumerate() {
@@ -396,27 +239,10 @@ fn geometry_mismatched_detect_batch_is_loud() {
 /// over a universe spanning every family.
 #[test]
 fn dictionary_build_batched_equals_scalar() {
-    let geom = Geometry::bom(16);
-    let u = mixed_universe(geom);
-    let program = Executor::new().compile(&march_library::march_diag(), geom);
-    let poly = Poly2::from_bits(0b1_0001_1011);
-    let scalar =
-        FaultDictionary::build_with_batching(&u, &program, poly, Parallelism::Sequential, false)
-            .expect("scalar build");
-    for threads in [1usize, 4] {
-        let batched = FaultDictionary::build(&u, &program, poly, Parallelism::Threads(threads))
-            .expect("batched build");
-        for (i, (s, b)) in scalar.observations().iter().zip(batched.observations()).enumerate() {
-            assert_eq!(
-                s.signature,
-                b.signature,
-                "signature diverged on {} (threads={threads})",
-                &u.faults()[i]
-            );
-            assert_eq!(s, b, "observation diverged on {}", &u.faults()[i]);
-        }
-        assert_eq!(scalar.stats(), batched.stats(), "threads={threads}");
-    }
+    let geom = geometry(16, false);
+    let program = march_observed(&march_library::march_diag(), geom);
+    let settings = matrix(&[Engine::Auto], &[LaneWidth::X512], &[1, 4]);
+    assert_observations_agree(&mixed(geom, None), &program, &settings);
 }
 
 /// The aggregated coverage reports — the artifact campaigns publish —
@@ -424,22 +250,10 @@ fn dictionary_build_batched_equals_scalar() {
 /// library March test over a mixed universe, at several thread counts.
 #[test]
 fn coverage_reports_identical_across_engines_and_threads() {
-    let geom = Geometry::bom(16);
-    let u = mixed_universe(geom);
-    let ex = Executor::new().stop_at_first_mismatch();
+    let geom = geometry(16, false);
+    let u = mixed(geom, None);
+    let settings = matrix(&[Engine::Auto], &[LaneWidth::X512], &[1, 3, 8]);
     for test in march_library::all() {
-        let program = ex.compile(&test, geom);
-        let scalar = Campaign::new(&u, &program)
-            .with_name(test.name())
-            .with_lane_batching(false)
-            .with_parallelism(Parallelism::Sequential)
-            .run();
-        for threads in [1usize, 3, 8] {
-            let batched = Campaign::new(&u, &program)
-                .with_name(test.name())
-                .with_parallelism(Parallelism::Threads(threads))
-                .run();
-            assert_eq!(scalar, batched, "{} threads={threads}", test.name());
-        }
+        assert_engines_agree(&u, &march(&test, geom, 0), &settings);
     }
 }

@@ -11,6 +11,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+mod common;
+
+use common::compare::assert_resume_agrees;
+use common::engines::{Engine, Setting};
+use common::programs::Subject;
 use proptest::prelude::*;
 use prt_sim::chaos::{self, ChaosPlan};
 use prt_sim::checkpoint;
@@ -253,27 +258,10 @@ proptest! {
         ];
         let (first_width, resume_width) = pairs[widths_pick];
         let u = universe(n);
-        let prog = march_program(u.geometry());
-        let baseline = Campaign::new(&u, &prog).with_name("resilient").run();
-        let path = temp_ckpt("width");
-        let full = Campaign::new(&u, &prog)
-            .with_name("resilient")
-            .with_lane_width(first_width)
-            .with_checkpoint(&path, every)
-            .run();
-        prop_assert_eq!(&baseline, &full);
-        let fp = checkpoint::peek_fingerprint(&path).unwrap();
-        let saved: Vec<bool> = checkpoint::load_records(&path, fp, u.len()).unwrap().unwrap();
-        let cut = saved.len() * cut_permille / 1000;
-        checkpoint::save_records(&path, fp, u.len(), &saved[..cut]).unwrap();
-        let resumed = Campaign::new(&u, &prog)
-            .with_name("resilient")
-            .with_parallelism(Parallelism::Threads(threads))
-            .with_lane_width(resume_width)
-            .with_checkpoint(&path, every)
-            .run();
-        prop_assert_eq!(&baseline, &resumed);
-        let _ = std::fs::remove_file(&path);
+        let subject = Subject::single(march_program(u.geometry()));
+        let first = Setting { width: first_width, ..Setting::DEFAULT };
+        let second = Setting::new(Engine::Auto, resume_width, threads);
+        assert_resume_agrees(&u, &subject, first, second, every, cut_permille);
     }
 }
 

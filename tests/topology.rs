@@ -1,40 +1,22 @@
 //! Physical-topology property tests: the `Topology` algebra (round-trip,
 //! composition) and the scrambled-campaign acceptance sweep — under any
-//! generated scramble, the sliced, full-pass-batched and scalar engines
-//! must agree bit-exactly on every verdict, at every lane width and
-//! thread count, and dictionary observations (per-fault MISR signatures)
-//! must match between the batched and scalar builds. The identity
+//! generated scramble, the auto, sliced, full-pass-batched and scalar
+//! engines must agree bit-exactly on every verdict and report, at every
+//! lane width and thread count, and dictionary observations (per-fault
+//! MISR signatures) must match between the batched and scalar builds —
+//! both on the shared differential harness (`tests/common/`). The identity
 //! topology must be bit-identical to the pre-topology code paths,
 //! checkpoints included; a checkpoint written under one scramble must
 //! refuse to resume under another.
 
+mod common;
+
+use common::compare::{assert_engines_agree, assert_observations_agree, temp_ckpt};
+use common::engines::{matrix, test_threads, Engine, WIDTHS};
+use common::programs::{march, march_observed, march_test};
+use common::universes::{geometry, mixed};
 use proptest::prelude::*;
 use prt_suite::prelude::*;
-
-/// The scrambled mixed universe the campaign properties sweep: every
-/// modelled family, enumerated over the physical coordinates of a
-/// seed-generated topology and mapped back to logical addresses.
-fn scrambled_universe(geom: Geometry, seed: u64) -> FaultUniverse {
-    let spec = UniverseSpec {
-        coupling_radius: Some(2),
-        intra_word: geom.width() > 1,
-        ..UniverseSpec::full()
-    };
-    FaultUniverse::enumerate_with(geom, &spec, Topology::generate(geom.cells(), seed))
-}
-
-/// `PRT_TEST_THREADS` pins the proptest-chosen worker count in CI, like
-/// the batch differential sweeps.
-fn test_threads(chosen: usize) -> usize {
-    std::env::var("PRT_TEST_THREADS").ok().and_then(|s| s.parse().ok()).unwrap_or(chosen)
-}
-
-fn temp_ckpt(name: &str) -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("prt-topology-{}-{name}.ckpt", std::process::id()));
-    let _ = std::fs::remove_file(&p);
-    p
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -85,10 +67,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// SCRAMBLED CAMPAIGNS: sliced == full == auto == scalar verdicts,
-    /// bit-exact, for random March families over scrambled mixed
-    /// universes on BOM and WOM geometries, across lane widths and thread
-    /// counts.
+    /// SCRAMBLED CAMPAIGNS: sliced == full == auto == scalar verdicts
+    /// and reports, bit-exact, for random March families over scrambled
+    /// mixed universes on BOM and WOM geometries, across lane widths and
+    /// thread counts.
     #[test]
     fn scrambled_sliced_equals_full_equals_scalar(
         test_idx in 0usize..15,
@@ -98,68 +80,25 @@ proptest! {
         threads in 1usize..5,
         width_idx in 0usize..3,
     ) {
-        let geom = if wom { Geometry::wom(n, 4).expect("geometry") } else { Geometry::bom(n) };
-        let u = scrambled_universe(geom, seed);
-        let tests = march_library::all();
-        let test = &tests[test_idx % tests.len()];
-        let program = Executor::new().stop_at_first_mismatch().compile(test, geom);
-        let width = [LaneWidth::X64, LaneWidth::X256, LaneWidth::X512][width_idx];
-        let threads = test_threads(threads);
-        let scalar = Campaign::new(&u, &program)
-            .with_lane_batching(false)
-            .with_parallelism(Parallelism::Sequential)
-            .detections();
-        let full = Campaign::new(&u, &program)
-            .with_slicing(false)
-            .with_lane_width(width)
-            .with_parallelism(Parallelism::Threads(threads))
-            .detections();
-        let sliced = Campaign::new(&u, &program)
-            .with_slicing(true)
-            .with_lane_width(width)
-            .with_parallelism(Parallelism::Threads(threads))
-            .detections();
-        let auto = Campaign::new(&u, &program)
-            .with_lane_width(width)
-            .with_parallelism(Parallelism::Threads(threads))
-            .detections();
-        prop_assert_eq!(&scalar, &auto, "{} seed={} {:?}: auto engine diverged", test.name(), seed, width);
-        for (i, s) in scalar.iter().enumerate() {
-            prop_assert_eq!(
-                *s, full[i],
-                "{} seed={} {:?}: full-pass diverged on {}",
-                test.name(), seed, width, u.faults()[i]
-            );
-            prop_assert_eq!(
-                *s, sliced[i],
-                "{} seed={} {:?}: sliced diverged on {}",
-                test.name(), seed, width, u.faults()[i]
-            );
-        }
+        let geom = geometry(n, wom);
+        let settings = matrix(&Engine::BATCHED, &[WIDTHS[width_idx]], &[test_threads(threads)]);
+        assert_engines_agree(&mixed(geom, Some(seed)), &march(&march_test(test_idx), geom, 0), &settings);
     }
 
     /// SCRAMBLED SIGNATURES: the batched dictionary build reproduces the
     /// scalar per-fault observations (MISR signature + execution summary)
-    /// over scrambled universes, at multiple thread counts.
+    /// and statistics over scrambled universes, at multiple thread
+    /// counts, and keeps the universe's topology.
     #[test]
     fn scrambled_dictionary_observations_batch_equals_scalar(
         n in 2usize..10,
         seed in any::<u64>(),
         threads in 1usize..5,
     ) {
-        let geom = Geometry::bom(n);
-        let u = scrambled_universe(geom, seed);
-        let program = Executor::new().compile(&march_library::march_diag(), geom);
-        let poly = Poly2::from_bits(0b1_0001_1011);
-        let scalar = FaultDictionary::build_with_batching(
-            &u, &program, poly, Parallelism::Sequential, false,
-        ).expect("scalar build");
-        let batched = FaultDictionary::build(
-            &u, &program, poly, Parallelism::Threads(test_threads(threads)),
-        ).expect("batched build");
-        prop_assert_eq!(scalar.observations(), batched.observations(), "seed={}", seed);
-        prop_assert_eq!(scalar.stats(), batched.stats(), "seed={}", seed);
-        prop_assert_eq!(batched.topology(), u.topology());
+        let geom = geometry(n, false);
+        let program = march_observed(&march_library::march_diag(), geom);
+        let settings = matrix(&[Engine::Auto], &[LaneWidth::X512], &[test_threads(threads)]);
+        assert_observations_agree(&mixed(geom, Some(seed)), &program, &settings);
     }
 }
 
