@@ -274,8 +274,13 @@ impl PrtScheme {
     ///
     /// * [`PrtError::WidthMismatch`] if the geometry's width differs from
     ///   the field degree.
-    /// * [`PrtError::EmptyScheme`] if no complete scheme is found within
-    ///   16 iterations (not observed for any geometry in the test suite).
+    /// * [`PrtError::EmptyScheme`] if no complete scheme is found: the
+    ///   greedy search stalls (no pool candidate detects a remaining
+    ///   escape) or reaches 32 iterations with escapes left. Bit-oriented
+    ///   geometries converge at 5 iterations; word geometries can stall:
+    ///   on WOM m=4 over GF(16), n=4 and n=8 stall on CFid escapes while
+    ///   n=6 converges at 17 iterations (pinned in
+    ///   `tests/coverage_claims.rs`).
     pub fn full_coverage(
         field: Field,
         geom: prt_ram::Geometry,

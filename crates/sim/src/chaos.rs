@@ -52,11 +52,12 @@ impl ChaosPlan {
         self
     }
 
-    /// Panic inside the lane batch whose first fault index is `i` — on
-    /// a universe-order walk (the full pass, and the first walk of the
-    /// default engine, which visits every batch) that is the batch's
-    /// schedule position, a multiple of the lane width. Exercises the
-    /// batch→scalar degradation path. Fires once.
+    /// Panic inside the lane batch whose first fault index is `i` —
+    /// every lane-batched setting cuts each segment once, in universe
+    /// order, so that is the segment start plus a multiple of the chunk
+    /// width; without checkpoint or progress segments, every multiple of
+    /// the configured lane width is one (the chunk width divides it).
+    /// Exercises the batch→scalar degradation path. Fires once.
     pub fn panic_on_batch(self, i: usize) -> ChaosPlan {
         self.panic_batches.lock().expect("chaos plan lock").push(i);
         self

@@ -139,10 +139,10 @@ const MAX_CHUNK: usize = 64;
 /// the width — like the thread count — is a pure throughput knob and is
 /// deliberately excluded from the checkpoint fingerprint.
 ///
-/// The configured width is an upper bound. The default automatic engine
-/// runs its full-pass chunks at exactly this width and may narrow the
-/// chunks it slices (see [`Campaign::with_slicing`]); a forced sliced
-/// campaign narrows the same way, a forced full pass never does.
+/// The configured width is exact for the full pass (forced, or an auto
+/// campaign whose programs can never slice) and a cap otherwise: the
+/// auto engine and the forced sliced pass cut each segment at the width
+/// the span-overlap model picks up to it (see [`Campaign::with_slicing`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LaneWidth {
     /// One `u64` of lanes: 64 trials per pass (the PR-4 baseline).
@@ -279,27 +279,91 @@ where
     }
 }
 
-/// Graceful degradation of a lane batch whose pass panicked: its faults
+/// The one lane-chunk fan-out, under a [`Campaign`] segment and
+/// [`try_map_trials_batched`]. `range` (indices into `faults`) is cut
+/// into chunks of `LaneRam::<K>::LANES`; each worker pools a [`LaneRam`],
+/// a `scratch()` state and a result buffer. Per chunk the device is
+/// healed, zero-reset and injected on lanes `0..k`; `pass` measures it
+/// and pushes one result per lane, in lane order (checked), and each
+/// result lands by fault index through `store`, so results are identical
+/// for any thread count and lane width. A chunk whose pass panics
+/// [`degrade`]s to `scalar` instead of killing the run.
+#[allow(clippy::too_many_arguments)] // one private fan-out, two callers
+fn drive_lane_chunks<const K: usize, S, T>(
+    geom: Geometry,
+    ports: usize,
+    parallelism: Parallelism,
+    control: Option<&RunControl>,
+    degraded: &AtomicUsize,
+    faults: &[FaultKind],
+    range: Range<usize>,
+    scratch: impl Fn() -> S + Sync,
+    pass: impl Fn(&mut LaneRam<K>, &mut S, Range<usize>, &mut Vec<T>) + Sync,
+    scalar: impl Fn(usize, &mut Ram) -> T + Sync,
+    store: impl Fn(usize, T) + Sync,
+) -> Result<Option<StopCause>, CampaignError> {
+    fan_out(
+        parallelism,
+        range,
+        Some(LaneRam::<K>::LANES),
+        control,
+        || {
+            let ram = LaneRam::<K>::with_ports(geom, ports).expect("valid port count");
+            (ram, scratch(), Vec::new())
+        },
+        |(ram, state, out), chunk| {
+            out.clear();
+            let attempt = catch_unwind(AssertUnwindSafe(|| {
+                ram.eject_faults();
+                ram.reset_to(0);
+                for (lane, fault) in faults[chunk.clone()].iter().enumerate() {
+                    ram.inject(fault.clone(), lane).expect("campaign faults are valid");
+                }
+                pass(ram, state, chunk.clone(), out);
+            }));
+            if attempt.is_err() {
+                degrade(geom, ports, chunk.clone(), degraded, &scalar, out)?;
+            } else if out.len() != chunk.len() {
+                return Err(CampaignError::BadConfiguration {
+                    reason: format!(
+                        "batch trial must yield one result per injected lane — got {} results \
+                         for {} lanes",
+                        out.len(),
+                        chunk.len()
+                    ),
+                });
+            }
+            // Chunks never overlap, so each fault's result lands once.
+            for (fi, v) in chunk.zip(out.drain(..)) {
+                store(fi, v);
+            }
+            Ok(ControlFlow::Continue(()))
+        },
+    )
+}
+
+/// Graceful degradation of a lane chunk whose pass panicked: its faults
 /// retry one by one on the scalar oracle, which yields bit-identical
-/// results, and the batch is counted in `degraded`. `trial` injects fault
-/// `fi` into a healed, zero-reset memory and measures it; `store` keeps
-/// the result. A retry that panics too is a real failure, reported as a
+/// results, into `out`, and the chunk is counted in `degraded`. `trial`
+/// injects fault `fi` into a healed, zero-reset memory and measures it.
+/// A retry that panics too is a real failure, reported as a
 /// [`CampaignError::WorkerPanic`] naming its single fault.
 fn degrade<T>(
     geom: Geometry,
     ports: usize,
-    faults: impl IntoIterator<Item = usize>,
+    faults: Range<usize>,
     degraded: &AtomicUsize,
     trial: impl Fn(usize, &mut Ram) -> T,
-    mut store: impl FnMut(usize, T),
+    out: &mut Vec<T>,
 ) -> Result<(), CampaignError> {
     degraded.fetch_add(1, Ordering::Relaxed);
+    out.clear();
     let mut scalar = Ram::with_ports(geom, ports).expect("valid port count");
     for fi in faults {
         scalar.eject_faults();
         scalar.reset_to(0);
         match catch_unwind(AssertUnwindSafe(|| trial(fi, &mut scalar))) {
-            Ok(v) => store(fi, v),
+            Ok(v) => out.push(v),
             Err(payload) => {
                 return Err(CampaignError::WorkerPanic {
                     chunk: (fi, fi + 1),
@@ -309,6 +373,41 @@ fn degrade<T>(
         }
     }
     Ok(())
+}
+
+/// The lane width to cut `faults` (in schedule order) at for a pass
+/// that may slice: the cheapest width not exceeding `cap` under the
+/// span-overlap cost model. A sliced chunk executes one op per distinct
+/// span cell visit, so its work is roughly
+/// `distinct-keys-in-chunk × (F + W·K)` with `F` the per-op fixed cost
+/// (dispatch, gap splice, bucket lookups) and `W·K` the K-chunk-word
+/// plane loops; `F/W ≈ 11` measured on the batch interpreter. Dense key
+/// runs favour the widest chunks exactly as the full pass does; sparse
+/// ones (single-cell faults on a large array) favour narrow chunks,
+/// whose span unions — and active-op counts — shrink with the lane
+/// count. Width never affects verdicts, reports or checkpoints (the
+/// fingerprint deliberately excludes it): this is pure scheduling.
+fn chunk_width(faults: &[FaultKind], cap: LaneWidth) -> LaneWidth {
+    const WIDTHS: [LaneWidth; 3] = [LaneWidth::X512, LaneWidth::X256, LaneWidth::X64];
+    let mut distinct = [0u64; 3];
+    let mut prev = None;
+    for (i, fault) in faults.iter().enumerate() {
+        let key = Some(fault_locality_key(fault));
+        for (count, width) in distinct.iter_mut().zip(WIDTHS) {
+            if i % width.lanes() == 0 || key != prev {
+                *count += 1;
+            }
+        }
+        prev = key;
+    }
+    // `min_by_key` keeps the first of equal costs: ties go to the widest
+    // width (fewer chunks, less per-chunk dispatch overhead).
+    WIDTHS
+        .into_iter()
+        .zip(distinct)
+        .filter(|(width, _)| width.lanes() <= cap.lanes())
+        .min_by_key(|&(width, keys)| keys * (11 + width.lanes() as u64 / 64))
+        .map_or(cap, |(width, _)| width)
 }
 
 /// Something that can run one prepared, single-fault memory and report
@@ -717,49 +816,22 @@ where
     validate_ports(geom, ports)?;
     let results: Vec<OnceLock<T>> = (0..faults.len()).map(|_| OnceLock::new()).collect();
     let degraded = AtomicUsize::new(0);
-    // Every fault family lane-batches (the scalar remainder seam was
-    // retired once it proved permanently empty), so each unit is one
-    // batch of consecutive fault indices.
-    fan_out(
+    drive_lane_chunks::<K, _, _>(
+        geom,
+        ports,
         parallelism,
-        0..faults.len(),
-        Some(LaneRam::<K>::LANES),
         None,
-        || (LaneRam::<K>::with_ports(geom, ports).expect("valid port count"), Vec::new()),
-        |(ram, out), lanes| {
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                ram.eject_faults();
-                ram.reset_to(0);
-                for (lane, fi) in lanes.clone().enumerate() {
-                    ram.inject(faults[fi].clone(), lane).expect("campaign faults are valid");
-                }
-                out.clear();
-                batch_trial(ram, out);
-            }));
-            if attempt.is_err() {
-                let trial = |fi: usize, scalar: &mut Ram| {
-                    scalar.inject(faults[fi].clone()).expect("campaign faults are valid");
-                    scalar_trial(fi, scalar)
-                };
-                degrade(geom, ports, lanes, &degraded, trial, |fi, v| {
-                    let _ = results[fi].set(v);
-                })?;
-            } else if out.len() != lanes.len() {
-                return Err(CampaignError::BadConfiguration {
-                    reason: format!(
-                        "batch trial must yield one result per injected lane — got {} results \
-                         for {} lanes",
-                        out.len(),
-                        lanes.len()
-                    ),
-                });
-            } else {
-                for (fi, v) in lanes.zip(out.drain(..)) {
-                    // Batches never overlap, so each slot is set once.
-                    let _ = results[fi].set(v);
-                }
-            }
-            Ok(ControlFlow::Continue(()))
+        &degraded,
+        faults,
+        0..faults.len(),
+        || (),
+        |ram, (), _, out| batch_trial(ram, out),
+        |fi, scalar| {
+            scalar.inject(faults[fi].clone()).expect("campaign faults are valid");
+            scalar_trial(fi, scalar)
+        },
+        |fi, v| {
+            let _ = results[fi].set(v);
         },
     )?;
     let values = results
@@ -944,8 +1016,9 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     }
 
     /// Selects the lane-chunk width for the batched path (default
-    /// [`LaneWidth::X512`]): the width of every full-pass chunk, and the
-    /// widest a sliced chunk may use. A pure throughput knob: the verdict
+    /// [`LaneWidth::X512`]): the chunk width of the full pass, and the
+    /// widest chunk the auto engine and the forced sliced pass may cut
+    /// (see [`LaneWidth`]). A pure throughput knob: the verdict
     /// table, reports and checkpoints are bit-identical at every width,
     /// so checkpoints taken at one width resume correctly at another.
     pub fn with_lane_width(mut self, width: LaneWidth) -> Campaign<'a, R> {
@@ -965,10 +1038,11 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     /// A sliced pass walks only the program ops whose address intersects
     /// the batch's span union — the cells its faults can actually
     /// perturb — and splices precomputed fault-free reference deltas over
-    /// the gaps ([`prt_ram::ActivityIndex`]). Every setting walks the
-    /// universe in order; forced slicing slices every batch at the width
-    /// the span-overlap model picks, exactly as the automatic engine
-    /// slices the batches it sets aside. Verdicts, reports and
+    /// the gaps ([`prt_ram::ActivityIndex`]). Every setting cuts each
+    /// segment once, in universe order: the forced full pass at the
+    /// configured width, the automatic engine and forced slicing at the
+    /// width the span-overlap model picks, where the automatic engine
+    /// decides each chunk at the width it runs at. Verdicts, reports and
     /// checkpoints are **bit-identical** in every mode (the engine, like
     /// the lane width, is deliberately not fingerprinted); the forced
     /// modes are the oracles for measurement and differential testing.
@@ -1315,47 +1389,6 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         fp.finish()
     }
 
-    /// The lane width to slice `trials` (in schedule order) at: the
-    /// cheapest of the widths not exceeding the configured knob, under
-    /// the span-overlap cost model. A sliced batch executes one op per
-    /// distinct span cell visit, so its work is roughly
-    /// `distinct-keys-in-batch × (F + W·K)` with `F` the per-op fixed cost
-    /// (dispatch, gap splice, bucket lookups) and `W·K` the K-chunk-word
-    /// plane loops; `F/W ≈ 11` measured on the batch interpreter. Dense
-    /// key runs favour the widest chunks exactly as the full pass does;
-    /// sparse ones (single-cell faults on a large array) favour narrow
-    /// chunks, whose span unions — and active-op counts — shrink with the
-    /// lane count. Width never affects verdicts, reports or checkpoints
-    /// (the fingerprint deliberately excludes it): this is pure
-    /// scheduling.
-    fn sliced_width(&self, trials: &[u32]) -> LaneWidth {
-        let keys: Vec<usize> =
-            trials.iter().map(|&i| fault_locality_key(&self.faults[i as usize])).collect();
-        let mut best = LaneWidth::X64;
-        let mut best_cost = u64::MAX;
-        for width in [LaneWidth::X512, LaneWidth::X256, LaneWidth::X64] {
-            if width.lanes() > self.lane_width.lanes() {
-                continue;
-            }
-            let chunk = width.lanes();
-            let k = (chunk / 64) as u64;
-            let mut distinct = 0u64;
-            for (i, &key) in keys.iter().enumerate() {
-                if i % chunk == 0 || keys[i - 1] != key {
-                    distinct += 1;
-                }
-            }
-            let cost = distinct * (11 + k);
-            // Strict inequality: ties go to the widest width (fewer
-            // chunks, less per-chunk driver overhead).
-            if cost < best_cost {
-                best_cost = cost;
-                best = width;
-            }
-        }
-        best
-    }
-
     /// Scalar fan-out over the universe indices `segment`: each worker
     /// pools one [`Ram`], and a panic poisons exactly its own chunk.
     fn drive_scalar(&self, segment: Range<usize>, ctx: &DriveCtx<'_>) -> SegmentOutcome {
@@ -1380,16 +1413,13 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     }
 
     /// Lane-batched evaluation of the universe indices `segment` under
-    /// `pass`. Every setting walks the segment in universe order and
-    /// differs only in which pass each chunk gets. The full pass takes
-    /// the chunks at the configured width. The forced sliced pass slices
-    /// them at the width the span-overlap model picks
-    /// ([`Campaign::sliced_width`]). The auto engine walks the chunks at
-    /// the configured width and applies [`ActiveSet::prefers_full_pass`]
-    /// to each: a dense chunk runs the full pass where it stands, a
-    /// sparse one is set aside. The set-aside faults, still in universe
-    /// order, are then sliced like the forced sliced pass, each narrower
-    /// chunk re-checked by the same rule.
+    /// `pass`. Every setting cuts the segment once, in universe order,
+    /// into chunks of one width, and decides each chunk at the width it
+    /// runs at. The full pass keeps the configured width. The auto engine
+    /// and the forced sliced pass take the span-overlap model's width
+    /// ([`chunk_width`], capped by the configured width); the forced
+    /// sliced pass slices every chunk, the auto engine applies
+    /// [`ActiveSet::prefers_full_pass`] to each chunk where it stands.
     ///
     /// Universe order is deliberate: an enumerated universe arrives
     /// family by family, so a chunk's faults tend to be detected
@@ -1406,162 +1436,81 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         pass: Pass<'_>,
         ctx: &DriveCtx<'_>,
     ) -> SegmentOutcome {
-        let trials: Vec<u32> = segment.map(|i| i as u32).collect();
-        let sparse = match pass {
-            Pass::Full => {
-                return self.drive_batches(self.lane_width, &trials, programs, pass, ctx, None)
-            }
-            Pass::Sliced(_) => trials,
-            Pass::Auto(_) => {
-                let set_aside = Mutex::new(Vec::new());
-                let outcome = self.drive_batches(
-                    self.lane_width,
-                    &trials,
-                    programs,
-                    pass,
-                    ctx,
-                    Some(&set_aside),
-                );
-                if outcome != Ok(None) {
-                    return outcome;
-                }
-                let mut sparse = set_aside.into_inner().expect("set-aside lock");
-                // Workers append in claim order; restore universe order.
-                sparse.sort_unstable();
-                sparse
-            }
+        let width = match pass {
+            Pass::Full => self.lane_width,
+            _ => chunk_width(&self.faults[segment.clone()], self.lane_width),
         };
-        if sparse.is_empty() {
-            return Ok(None);
-        }
-        let width = self.sliced_width(&sparse);
-        self.drive_batches(width, &sparse, programs, pass, ctx, None)
-    }
-
-    /// [`Campaign::drive_batches_at`] with the lane width as a value: the
-    /// chunk width is a const generic, so the driver is monomorphised per
-    /// width and dispatched here.
-    fn drive_batches(
-        &self,
-        width: LaneWidth,
-        trials: &[u32],
-        programs: &[&TestProgram],
-        pass: Pass<'_>,
-        ctx: &DriveCtx<'_>,
-        set_aside: Option<&Mutex<Vec<u32>>>,
-    ) -> SegmentOutcome {
         match width {
-            LaneWidth::X64 => self.drive_batches_at::<1>(trials, programs, pass, ctx, set_aside),
-            LaneWidth::X256 => self.drive_batches_at::<4>(trials, programs, pass, ctx, set_aside),
-            LaneWidth::X512 => self.drive_batches_at::<8>(trials, programs, pass, ctx, set_aside),
+            LaneWidth::X64 => self.drive_batches_at::<1>(segment, programs, pass, ctx),
+            LaneWidth::X256 => self.drive_batches_at::<4>(segment, programs, pass, ctx),
+            LaneWidth::X512 => self.drive_batches_at::<8>(segment, programs, pass, ctx),
         }
     }
 
-    /// Lane-batched fan-out over `trials` (universe indices, in schedule
-    /// order): consecutive runs of `LaneRam::<K>::LANES` trials share a
-    /// [`LaneRam`] chunk (one interpreter pass per batch per background,
-    /// with the cross-background early exit per lane). Every fault family
-    /// lane-batches, so there is no scalar remainder. Workers claim
-    /// **whole chunks** from a shared counter, so the thread fan-out
-    /// composes with the lane width (threads × lanes trials in flight)
-    /// while verdicts stay keyed by fault index — bit-identical at any
-    /// thread count, width and schedule order. A batch whose interpreter
-    /// pass panics **degrades**: its faults retry one-by-one on the
-    /// scalar oracle and the degradation counter is bumped — only a retry
-    /// that also fails poisons the run.
-    ///
-    /// Under [`Pass::Auto`] one decision per batch, on its first
-    /// background's program, picks the pass for every background (a
-    /// bank's background programs share one address schedule). With
-    /// `set_aside`, a batch that prefers slicing is not run but appended
-    /// there, for [`Campaign::drive_segment_batched`] to slice at a
-    /// narrower width.
+    /// [`drive_lane_chunks`] over `segment` at `LaneRam::<K>::LANES`
+    /// lanes per chunk: one interpreter pass per chunk per background,
+    /// with the cross-background early exit per lane. Under
+    /// [`Pass::Auto`] one decision per chunk, on its first background's
+    /// program, picks the pass for every background (a bank's background
+    /// programs share one address schedule). A panicking chunk degrades
+    /// to [`Campaign::run_fault`], the scalar oracle.
     fn drive_batches_at<const K: usize>(
         &self,
-        trials: &[u32],
+        segment: Range<usize>,
         programs: &[&TestProgram],
         pass: Pass<'_>,
         ctx: &DriveCtx<'_>,
-        set_aside: Option<&Mutex<Vec<u32>>>,
     ) -> SegmentOutcome {
-        // Every panic inside a batch is caught below and degrades, so a
-        // failure here is always a retry naming its single fault.
-        fan_out(
+        drive_lane_chunks::<K, _, _>(
+            self.geom,
+            self.ports,
             self.parallelism,
-            0..trials.len(),
-            Some(LaneRam::<K>::LANES),
             Some(ctx.control),
-            || {
-                let ram = LaneRam::<K>::with_ports(self.geom, self.ports);
-                (ram.expect("valid port count"), ActiveSet::new())
-            },
-            |(ram, active), positions| {
-                let batch = &trials[positions];
-                let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    self.chaos_batch(batch[0] as usize);
-                    let faults = batch.iter().map(|&fi| &self.faults[fi as usize]);
-                    let full_pass = match pass {
-                        Pass::Full => true,
-                        Pass::Sliced(_) => {
-                            active.clear();
-                            faults.for_each(|f| active.insert_fault(f));
-                            false
+            ctx.degraded,
+            self.faults,
+            segment,
+            ActiveSet::new,
+            |ram, active, chunk, out| {
+                self.chaos_batch(chunk.start);
+                let faults = &self.faults[chunk];
+                // The activity indexes when this chunk slices.
+                let sliced = match pass {
+                    Pass::Full => None,
+                    Pass::Sliced(indexes) => {
+                        active.clear();
+                        faults.iter().for_each(|f| active.insert_fault(f));
+                        Some(indexes)
+                    }
+                    Pass::Auto(indexes) => {
+                        (!active.prefers_full_pass(&indexes[0], faults)).then_some(indexes)
+                    }
+                };
+                let full = ram.active_lanes();
+                let mut detected = LaneChunk::<K>::ZERO;
+                for (bi, program) in programs.iter().enumerate() {
+                    if bi > 0 {
+                        // The per-fault early exit across backgrounds,
+                        // lane style: stop once every lane is flagged.
+                        if detected == full {
+                            break;
                         }
-                        Pass::Auto(indexes) => active.prefers_full_pass(&indexes[0], faults),
-                    };
-                    if let (false, Some(set_aside)) = (full_pass, set_aside) {
-                        set_aside.lock().expect("set-aside lock").extend_from_slice(batch);
-                        return None;
+                        ram.reset_to(0);
                     }
-                    ram.eject_faults();
-                    ram.reset_to(0);
-                    for (lane, &fi) in batch.iter().enumerate() {
-                        ram.inject(self.faults[fi as usize].clone(), lane)
-                            .expect("campaign faults are valid");
+                    let index = sliced.map(|indexes| &*indexes[bi]);
+                    if let Some(index) = index {
+                        // The union only grows across backgrounds
+                        // (finalize adds each program's forced cells);
+                        // a superset union stays exact.
+                        active.finalize(index);
                     }
-                    let full = ram.active_lanes();
-                    let mut detected = LaneChunk::<K>::ZERO;
-                    for (bi, program) in programs.iter().enumerate() {
-                        if bi > 0 {
-                            // The per-fault early exit across backgrounds,
-                            // lane style: stop once every lane is flagged.
-                            if detected == full {
-                                break;
-                            }
-                            ram.reset_to(0);
-                        }
-                        let slice = match pass {
-                            Pass::Sliced(indexes) | Pass::Auto(indexes) if !full_pass => {
-                                // The union only grows across backgrounds
-                                // (finalize adds each program's forced
-                                // cells); a superset union stays exact.
-                                active.finalize(&indexes[bi]);
-                                Some((&*indexes[bi], &*active))
-                            }
-                            _ => None,
-                        };
-                        detected |= program.detect_batch(ram, slice);
-                    }
-                    Some(detected)
-                }));
-                match attempt {
-                    Ok(Some(detected)) => {
-                        for (lane, &fi) in batch.iter().enumerate() {
-                            ctx.table[fi as usize].store(detected.get(lane), Ordering::Relaxed);
-                            ctx.done[fi as usize].store(true, Ordering::Relaxed);
-                        }
-                    }
-                    Ok(None) => {}
-                    Err(_) => {
-                        let faults = batch.iter().map(|&fi| fi as usize);
-                        let trial = |fi, scalar: &mut Ram| self.run_fault(fi, scalar);
-                        degrade(self.geom, self.ports, faults, ctx.degraded, trial, |fi, v| {
-                            ctx.table[fi].store(v, Ordering::Relaxed);
-                            ctx.done[fi].store(true, Ordering::Relaxed);
-                        })?;
-                    }
+                    detected |= program.detect_batch(ram, index.map(|index| (index, &*active)));
                 }
-                Ok(ControlFlow::Continue(()))
+                out.extend((0..faults.len()).map(|lane| detected.get(lane)));
+            },
+            |fi, scalar| self.run_fault(fi, scalar),
+            |fi, verdict| {
+                ctx.table[fi].store(verdict, Ordering::Relaxed);
+                ctx.done[fi].store(true, Ordering::Relaxed);
             },
         )
     }
@@ -2192,6 +2141,32 @@ mod tests {
         let a = Campaign::new(&u, &prog).with_name("toy").run();
         let b = Campaign::new(&u, &prog).with_name("toy").with_lane_batching(false).run();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn chunk_width_follows_locality_key_runs() {
+        // Single-cell faults in universe order change key on every fault:
+        // distinct keys per chunk grow with the lane count, so the
+        // narrowest width is cheapest.
+        let single = FaultUniverse::enumerate(Geometry::bom(4096), &UniverseSpec::single_cell());
+        assert_eq!(chunk_width(single.faults(), LaneWidth::X512), LaneWidth::X64);
+        // Radius-1 idempotent couplings on 32-bit words: the word pairs
+        // (a, a+1) and (a+1, a) follow each other in universe order, with
+        // 64 bit pairs × 4 variants each, so 512 faults in a row share
+        // one key, which the widest chunks amortise.
+        let spec = UniverseSpec { cfid: true, coupling_radius: Some(1), ..UniverseSpec::default() };
+        let coupled = FaultUniverse::enumerate(Geometry::wom(64, 32).unwrap(), &spec);
+        assert_eq!(chunk_width(coupled.faults(), LaneWidth::X512), LaneWidth::X512);
+        // The configured width caps the choice.
+        for faults in [single.faults(), coupled.faults()] {
+            assert_ne!(chunk_width(faults, LaneWidth::X256), LaneWidth::X512);
+            assert_eq!(chunk_width(faults, LaneWidth::X64), LaneWidth::X64);
+        }
+        assert_eq!(chunk_width(coupled.faults(), LaneWidth::X256), LaneWidth::X256);
+        // An empty segment costs nothing at any width: the cap wins the tie.
+        for cap in [LaneWidth::X64, LaneWidth::X256, LaneWidth::X512] {
+            assert_eq!(chunk_width(&[], cap), cap);
+        }
     }
 
     #[test]

@@ -59,6 +59,24 @@ fn full_coverage_scheme_is_complete_and_size_stable() {
 }
 
 #[test]
+fn full_coverage_on_wom_stalls_or_needs_many_iterations() {
+    // Today's word-oriented outcome, pinned so a change to the synthesis
+    // shows up here: on WOM m=4 over GF(16) with the intra-word universe
+    // the greedy search stalls at n=4 (CFid escapes that no pool candidate
+    // detects) and converges at n=6 only after 17 iterations, against 5
+    // on every BOM size. The ROADMAP item "The paper's word-oriented
+    // claim: full-coverage synthesis stalls on WOM" will flip the n=4 row
+    // to convergence (or to a typed `SynthesisStalled` that carries the
+    // escapes) and should update this test with it.
+    let gf16 = || Field::new(4, 0b1_0011).expect("GF(16)");
+    let geometry = |n| Geometry::wom(n, 4).expect("geometry");
+    assert!(matches!(PrtScheme::full_coverage(gf16(), geometry(4)), Err(PrtError::EmptyScheme)));
+    let (scheme, verified) = PrtScheme::full_coverage(gf16(), geometry(6)).expect("n=6 converges");
+    assert_eq!(scheme.iterations().len(), 17);
+    assert_eq!(verified, 3234);
+}
+
+#[test]
 fn full_coverage_also_handles_extended_fault_families() {
     // SOF/RDF/DRDF/IRF were not part of the synthesis target but fall out
     // for free (read-path corruption always propagates). WDF is the
